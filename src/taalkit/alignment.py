@@ -11,7 +11,6 @@ spurious strokes in individual frames.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -152,15 +151,6 @@ class RankedResult:
         return self.ranking[0]
 
 
-def _symbol_ids(names: Sequence[str], table: dict[str, int]) -> np.ndarray:
-    out = np.empty(len(names), dtype=np.int64)
-    for k, n in enumerate(names):
-        if n not in table:
-            table[n] = len(table)
-        out[k] = table[n]
-    return out
-
-
 def sliding_match_score(
     transcribed: StrokeSequence | Sequence[str],
     tala: TalaDefinition,
@@ -175,32 +165,38 @@ def sliding_match_score(
     ``ceil((n-m+1)/m)`` consecutive blocks of ``m`` and the block maxima
     are averaged.  Inputs shorter than one cycle fall back to the single
     available alignment and are flagged ``short_input``.
+
+    Each distinct window is aligned once and its score shared by every
+    offset where it occurs, so repetitive input costs little.
     """
     names = _names(transcribed)
     if not names:
         raise ValueError("empty sequence")
-    if gharana_equiv:
-        names = tuple(tala.canonical_stroke(n) for n in names)
     m = tala.matra_count
-    theka = tala.theka_names
 
-    table: dict[str, int] = {}
-    theka_ids = _symbol_ids(theka, table)
-    seq_ids = _symbol_ids(names, table)
-    rotations = np.stack([np.roll(theka_ids, -r) for r in range(m)])
+    # Canonicalise each distinct token once; strokes outside the theka get
+    # fresh ids after the theka's own.
+    ids = dict(tala.theka_symbol_ids)
+    token_ids = {}
+    for tok in dict.fromkeys(names):
+        token_ids[tok] = ids.setdefault(tala.canonical_stroke(tok) if gharana_equiv else tok, len(ids))
+    dtype = np.min_scalar_type(len(ids))
+    seq_ids = np.fromiter(map(token_ids.__getitem__, names), dtype, len(names))
+    rotations = tala.theka_rotations.astype(dtype)
 
-    n = len(names)
-    if n < m:
-        scores = batch_nw_scores(rotations, seq_ids[None, :])
-        best = int(scores.max())
+    if len(names) < m:
+        best = int(batch_nw_scores(rotations, seq_ids[None, :]).max())
         return MatchResult(sigma_nw=float(best), per_window_max=(best,), short_input=True)
 
+    # A void view turns each window into one sortable key, which np.unique
+    # handles far faster than its axis=0 mode.
     windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)
-    scores = batch_nw_scores(rotations, windows)  # (m rotations, n-m+1 offsets)
-    best_per_offset = scores.max(axis=0)
-    k = math.ceil(len(best_per_offset) / m)
-    block_maxima = tuple(int(best_per_offset[b * m:(b + 1) * m].max()) for b in range(k))
-    return MatchResult(sigma_nw=float(np.mean(block_maxima)), per_window_max=block_maxima)
+    keys = np.ascontiguousarray(windows).view(np.dtype((np.void, m * dtype.itemsize))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    scores = batch_nw_scores(rotations, distinct.view(dtype).reshape(-1, m))  # (m rotations, distinct windows)
+    best_per_offset = scores.max(axis=0)[inverse]
+    block_maxima = np.maximum.reduceat(best_per_offset, np.arange(0, len(best_per_offset), m))
+    return MatchResult(sigma_nw=float(np.mean(block_maxima)), per_window_max=tuple(block_maxima.tolist()))
 
 
 def identify_tala_nw(
@@ -219,10 +215,11 @@ def identify_tala_nw(
     talas = builtin_talas() if talas is None else list(talas)
     if not talas:
         raise ValueError("at least one tala required")
+    names = _names(transcribed)
     entries = []
     short = False
     for t in talas:
-        r = sliding_match_score(transcribed, t, gharana_equiv=gharana_equiv)
+        r = sliding_match_score(names, t, gharana_equiv=gharana_equiv)
         short = short or r.short_input
         entries.append((t, TalaScore(tala=t.name, score=r.sigma_nw, normalized=r.sigma_nw / t.matra_count)))
     entries.sort(key=lambda e: (-e[1].normalized, e[0].matra_count, e[0].name))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from collections import Counter
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -142,6 +144,24 @@ class TalaDefinition:
     @property
     def theka_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.theka)
+
+    @cached_property
+    def theka_symbol_ids(self) -> Mapping[str, int]:
+        """Integer id of each distinct theka stroke, numbered by first appearance."""
+        return MappingProxyType({n: i for i, n in enumerate(dict.fromkeys(self.theka_names))})
+
+    @cached_property
+    def theka_rotations(self) -> np.ndarray:
+        """Read-only (m, m) symbol ids of every cyclic rotation of the theka.
+
+        Row ``r`` is the theka entered at beat ``r``.  Built on first use and
+        kept on the instance, so each tala pays for it once.
+        """
+        ids = np.array([self.theka_symbol_ids[n] for n in self.theka_names])
+        m = self.matra_count
+        rotations = ids[(np.arange(m)[:, None] + np.arange(m)) % m]
+        rotations.setflags(write=False)
+        return rotations
 
     def canonical_stroke(self, name: str) -> str:
         """Map a variant stroke name to this tala's canonical name."""

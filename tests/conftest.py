@@ -2,10 +2,18 @@
 
 The acceptance tests record one human-readable pass/fail line per criterion;
 those lines are echoed in a dedicated section of the terminal summary so the
-overall gate can be read at a glance.
+overall gate can be read at a glance.  A hypothesis profile without a
+deadline is loaded for every test.
 """
 
 from __future__ import annotations
+
+from hypothesis import settings
+
+# Wall-clock deadlines flake on a loaded machine; every property that sets
+# its own settings already passes deadline=None.
+settings.register_profile("taalkit", deadline=None)
+settings.load_profile("taalkit")
 
 ACCEPTANCE_LINES: list[str] = []
 

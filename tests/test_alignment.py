@@ -1,6 +1,8 @@
 """Tests for global alignment scoring and NW-based tala identification."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +21,14 @@ from taalkit.alignment import (
     nw_score,
     sliding_match_score,
 )
-from taalkit.simulate import PerformanceSpec, generate_performance
-from taalkit.talas import get_tala
+from taalkit.simulate import (
+    NoiseSpec,
+    PerformanceSpec,
+    corrupt,
+    default_insertion_vocabulary,
+    generate_performance,
+)
+from taalkit.talas import TalaDefinition, builtin_talas, get_tala, make_vocabulary
 
 TINTAL = get_tala("Tintal")
 
@@ -42,6 +50,110 @@ def brute_nw(x, y):
 
     rec(0, 0, 0)
     return best[0]
+
+
+def seed_batch_nw_scores(ref_ids, win_ids):
+    """The original batched DP: a full int64 match tensor over every pair."""
+    R, m = ref_ids.shape
+    W, w = win_ids.shape
+    match = np.where(
+        ref_ids[:, None, :, None] == win_ids[None, :, None, :],
+        MATCH_SCORE,
+        MISMATCH_SCORE,
+    ).astype(np.int64).reshape(R * W, m, w)
+    offs = GAP_PENALTY * np.arange(w + 1, dtype=np.int64)
+    prev = np.broadcast_to(offs, (R * W, w + 1)).copy()
+    for i in range(1, m + 1):
+        cand = np.maximum(prev[:, :-1] + match[:, i - 1, :], prev[:, 1:] + GAP_PENALTY)
+        shifted = np.empty_like(prev)
+        shifted[:, 0] = GAP_PENALTY * i
+        shifted[:, 1:] = cand - offs[1:]
+        np.maximum.accumulate(shifted, axis=1, out=shifted)
+        prev = shifted + offs
+    return prev[:, -1].reshape(R, W)
+
+
+def _seed_symbol_ids(names, table):
+    out = np.empty(len(names), dtype=np.int64)
+    for k, n in enumerate(names):
+        if n not in table:
+            table[n] = len(table)
+        out[k] = table[n]
+    return out
+
+
+def seed_sliding_match_score(names, tala, gharana_equiv=True):
+    """The original sliding-frame matcher: every window, every call rebuilt.
+
+    Returns ``(sigma_nw, block_maxima, short_input)``.
+    """
+    if gharana_equiv:
+        names = tuple(tala.canonical_stroke(n) for n in names)
+    m = tala.matra_count
+    table = {}
+    theka_ids = _seed_symbol_ids(tala.theka_names, table)
+    seq_ids = _seed_symbol_ids(names, table)
+    rotations = np.stack([np.roll(theka_ids, -r) for r in range(m)])
+    if len(names) < m:
+        best = int(seed_batch_nw_scores(rotations, seq_ids[None, :]).max())
+        return float(best), (best,), True
+    windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)
+    best_per_offset = seed_batch_nw_scores(rotations, windows).max(axis=0)
+    k = math.ceil(len(best_per_offset) / m)
+    block_maxima = tuple(int(best_per_offset[b * m:(b + 1) * m].max()) for b in range(k))
+    return float(np.mean(block_maxima)), block_maxima, False
+
+
+def _custom_tala(name, theka, vibhags, equivalents):
+    vocab = make_vocabulary(list(dict.fromkeys(theka)))
+    by_name = {s.name: s for s in vocab}
+    return TalaDefinition(
+        name=name,
+        matra_count=len(theka),
+        vibhag_lengths=tuple(vibhags),
+        theka=tuple(by_name[t] for t in theka),
+        stroke_vocabulary=vocab,
+        reference_ratio=tuple(theka.count(s.name) for s in vocab),
+        gharana_equivalents=equivalents,
+    )
+
+
+# Shares the built-in Tintal's name but not its theka or its variant map, so
+# a per-tala cache keyed by name would hand it the wrong rotation table.
+IMPOSTOR_TINTAL = _custom_tala(
+    "Tintal", ["Dha", "Ge", "Na", "Tin", "Tin", "Na", "Ge", "Dha"], [4, 4], {"Ta": "Tin", "Ka": "Ge"}
+)
+ORACLE_TALAS = (*builtin_talas(), IMPOSTOR_TINTAL)
+# Every built-in stroke, the gharana variants, and strokes no tala knows.
+TOKEN_POOL = (*default_insertion_vocabulary(), "Ta", "Ka", "Ge", "Zzz", "Qq")
+
+
+@st.composite
+def noisy_renderings(draw):
+    """A corrupted built-in performance, possibly shorter than one cycle."""
+    tala = draw(st.sampled_from(builtin_talas()))
+    spec = PerformanceSpec(
+        tala=tala.name,
+        cycles=draw(st.integers(1, 4)),
+        start_offset=draw(st.integers(0, tala.matra_count - 1)),
+        gharana_variant=draw(st.booleans()),
+    )
+    noise = NoiseSpec(
+        p_sub=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        p_del=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        p_ins=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        insertion_vocabulary=TOKEN_POOL,
+        seed=draw(st.integers(0, 2**32)),
+    )
+    names = corrupt(generate_performance(spec), noise).names
+    return names[: draw(st.integers(1, max(1, len(names))))] or ("Zzz",)
+
+
+stroke_inputs = st.one_of(
+    noisy_renderings(),
+    st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=40).map(tuple),
+    st.lists(st.sampled_from(("Ta", "Na", "Zzz", "Dha")), min_size=1, max_size=40).map(tuple),
+)
 
 
 def brute_lcs(x, y):
@@ -144,6 +256,28 @@ class TestBatchScores:
         wins = np.ones((1, 3), dtype=np.int64)
         assert batch_nw_scores(refs, wins)[0, 0] == -3
 
+    def test_long_window_does_not_wrap(self):
+        # 3 mismatches and 19997 gaps: far outside int16.
+        out = batch_nw_scores(np.zeros((1, 3), int), np.ones((1, 20000), int))
+        assert out.dtype == np.int64
+        assert out.tolist() == [[-39997]]
+
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(0, 40),
+        st.integers(1, 4),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=100)
+    def test_matches_seed_dp(self, m, w, n_windows, n_symbols, seed):
+        rng = np.random.default_rng(seed)
+        refs = rng.integers(0, n_symbols, size=(m, m))
+        wins = rng.integers(0, n_symbols, size=(n_windows, w))
+        out = batch_nw_scores(refs, wins)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, seed_batch_nw_scores(refs, wins))
+
 
 class TestLcs:
     def test_identity(self):
@@ -204,6 +338,26 @@ class TestSlidingMatch:
         without = sliding_match_score(variant.names, TINTAL, gharana_equiv=False)
         assert with_equiv.sigma_nw == 16.0
         assert without.sigma_nw < 16.0
+
+
+class TestSlidingMatchOracle:
+    """The fast matcher against the original one, moved here as an oracle."""
+
+    @given(stroke_inputs, st.sampled_from(ORACLE_TALAS), st.booleans())
+    @settings(max_examples=300)
+    def test_equals_seed_matcher(self, names, tala, gharana_equiv):
+        r = sliding_match_score(names, tala, gharana_equiv=gharana_equiv)
+        sigma, maxima, short = seed_sliding_match_score(names, tala, gharana_equiv)
+        assert r.sigma_nw == sigma
+        assert r.per_window_max == maxima
+        assert r.short_input == short
+
+    def test_same_name_different_theka(self):
+        names = IMPOSTOR_TINTAL.theka_names * 3
+        for tala in (TINTAL, IMPOSTOR_TINTAL, TINTAL):
+            r = sliding_match_score(names, tala)
+            assert (r.sigma_nw, r.per_window_max, r.short_input) == seed_sliding_match_score(names, tala)
+        assert sliding_match_score(names, IMPOSTOR_TINTAL).sigma_nw == 8.0
 
 
 class TestIdentifyNw:
