@@ -58,9 +58,13 @@ def identify_tala_ratio(
     names = seq.names if isinstance(seq, StrokeSequence) else tuple(seq)
     if not names:
         raise ValueError("empty sequence")
+    distinct = dict.fromkeys(names)
     entries = []
     for t in talas:
-        mapped = [t.canonical_stroke(n) for n in names] if gharana_equiv else list(names)
+        mapped = names
+        if gharana_equiv:
+            canonical = {n: t.canonical_stroke(n) for n in distinct}
+            mapped = tuple(map(canonical.__getitem__, names))
         counts, oov = stroke_histogram(mapped, t.stroke_vocabulary)
         coverage = (len(mapped) - oov) / len(mapped)
         cos = cosine_similarity(np.asarray(t.reference_ratio), counts)

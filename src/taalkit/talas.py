@@ -272,16 +272,16 @@ def stroke_histogram(
     occurrences of ``vocab[i]`` and ``oov`` tallies strokes outside the
     vocabulary.
     """
-    names = seq.names if isinstance(seq, StrokeSequence) else tuple(seq)
+    names = seq.names if isinstance(seq, StrokeSequence) else seq
     index = {s.name: i for i, s in enumerate(vocab)}
     counts = np.zeros(len(vocab), dtype=np.int64)
     oov = 0
-    for n in names:
+    for n, k in Counter(names).items():
         i = index.get(n)
         if i is None:
-            oov += 1
+            oov += k
         else:
-            counts[i] += 1
+            counts[i] += k
     return counts, oov
 
 

@@ -1,13 +1,37 @@
 """Tests for stroke-ratio (cosine) tala identification."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taalkit.ratio import cosine_similarity, identify_tala_ratio
-from taalkit.simulate import PerformanceSpec, generate_performance
-from taalkit.talas import get_tala, stroke_histogram
+from taalkit.simulate import PerformanceSpec, default_insertion_vocabulary, generate_performance
+from taalkit.talas import TalaDefinition, builtin_talas, get_tala, stroke_histogram
+
+TOKEN_POOL = (*default_insertion_vocabulary(), "Ta", "Zzz", "Qq")
+
+
+def seed_ratio_ranking(names, gharana_equiv):
+    """The original ranking: every stroke canonicalised and counted one by one."""
+    entries = []
+    for t in builtin_talas():
+        mapped = [t.canonical_stroke(n) for n in names] if gharana_equiv else list(names)
+        index = {s.name: i for i, s in enumerate(t.stroke_vocabulary)}
+        counts = np.zeros(len(index), dtype=np.int64)
+        oov = 0
+        for n in mapped:
+            if n in index:
+                counts[index[n]] += 1
+            else:
+                oov += 1
+        coverage = (len(mapped) - oov) / len(mapped)
+        cos = cosine_similarity(np.asarray(t.reference_ratio), counts)
+        entries.append((t, (t.name, cos, cos * coverage, coverage)))
+    entries.sort(key=lambda e: (-e[1][2], e[0].matra_count, e[0].name))
+    return [e for _, e in entries]
 
 
 class TestCosine:
@@ -99,6 +123,25 @@ class TestIdentifyRatio:
             assert sa.tala == sb.tala
             assert sa.score == pytest.approx(sb.score)
             assert sa.normalized == pytest.approx(sb.normalized)
+
+    @given(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=80), st.booleans())
+    @settings(max_examples=200)
+    def test_equals_per_stroke_ranking(self, names, gharana_equiv):
+        result = identify_tala_ratio(names, gharana_equiv=gharana_equiv)
+        got = [(s.tala, s.score, s.normalized, s.coverage) for s in result.ranking]
+        assert got == seed_ratio_ranking(names, gharana_equiv)
+
+    def test_canonicalises_each_distinct_token_once(self, monkeypatch):
+        calls = Counter()
+        original = TalaDefinition.canonical_stroke
+
+        def counting(self, name):
+            calls[self.name, name] += 1
+            return original(self, name)
+
+        monkeypatch.setattr(TalaDefinition, "canonical_stroke", counting)
+        identify_tala_ratio(["Dha", "Ta", "Zzz"] * 50)
+        assert calls == Counter({(t.name, n): 1 for t in builtin_talas() for n in ("Dha", "Ta", "Zzz")})
 
     def test_unknown_strokes_flag_low_confidence(self):
         result = identify_tala_ratio(["Zzz", "Qqq"] * 5)
