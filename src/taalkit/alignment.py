@@ -21,6 +21,8 @@ from .talas import StrokeSequence, TalaDefinition, builtin_talas
 MATCH_SCORE = 1
 MISMATCH_SCORE = -1
 GAP_PENALTY = -2
+# DP cells (pairs x m x w) per batch_nw_scores chunk; bounds its working set.
+DP_CHUNK_CELLS = 1 << 20
 
 
 def _names(seq) -> tuple[str, ...]:
@@ -89,28 +91,47 @@ def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
     """Alignment scores for every (reference row, window row) pair.
 
     ``ref_ids`` is (R, m) and ``win_ids`` is (W, w); returns an (R, W)
-    integer matrix.  Vectorizes the row recurrence: the left-neighbor
-    dependency ``new[j] = max(cand[j], new[j-1] + gap)`` is a running
-    maximum of ``cand[j] - gap*j``, so each DP row costs a handful of
-    array ops instead of a Python loop over columns.
+    int64 matrix.  All pairs advance through the DP together, one row of
+    ``m`` at a time, over chunks of about ``DP_CHUNK_CELLS`` cells, so peak
+    memory does not grow with the number of windows.
+
+    Row ``i`` is held as ``U[j] = S[i, j] - GAP*j - (MISMATCH - GAP)*i``.
+    A diagonal step then adds 0 or MATCH - MISMATCH, a vertical step adds
+    2*GAP - MISMATCH and a horizontal step adds nothing, so the left-gap
+    dependency is a running maximum along ``j``.  ``U`` stays within
+    ``[-3(m+1), 3(w+1)]``, which int16 holds for any realistic window.
     """
     R, m = ref_ids.shape
     W, w = win_ids.shape
-    match = np.where(
-        ref_ids[:, None, :, None] == win_ids[None, :, None, :],
-        MATCH_SCORE,
-        MISMATCH_SCORE,
-    ).astype(np.int64).reshape(R * W, m, w)
-    offs = GAP_PENALTY * np.arange(w + 1, dtype=np.int64)
-    prev = np.broadcast_to(offs, (R * W, w + 1)).copy()
-    for i in range(1, m + 1):
-        cand = np.maximum(prev[:, :-1] + match[:, i - 1, :], prev[:, 1:] + GAP_PENALTY)
-        shifted = np.empty_like(prev)
-        shifted[:, 0] = GAP_PENALTY * i
-        shifted[:, 1:] = cand - offs[1:]
-        np.maximum.accumulate(shifted, axis=1, out=shifted)
-        prev = shifted + offs
-    return prev[:, -1].reshape(R, W)
+    dtype = np.int16 if 3 * (m + w + 1) <= np.iinfo(np.int16).max else np.int64
+    step = max(1, DP_CHUNK_CELLS // max(1, R * m * w))
+    out = np.empty((R, W), dtype=np.int64)
+    for start in range(0, W, step):
+        out[:, start:start + step] = _nw_last_row(ref_ids, win_ids[start:start + step], dtype)
+    return out + (GAP_PENALTY * w + (MISMATCH_SCORE - GAP_PENALTY) * m)
+
+
+def _nw_last_row(ref_ids: np.ndarray, win_ids: np.ndarray, dtype) -> np.ndarray:
+    """Final ``U[m, w]`` of every pair in one chunk, laid out (R, W)."""
+    R, m = ref_ids.shape
+    W, w = win_ids.shape
+    # gain[i, j] is the diagonal step into cell (i+1, j+1), for every pair.
+    gain = np.multiply(
+        ref_ids.T[:, None, :, None] == win_ids.T[None, :, None, :],
+        MATCH_SCORE - MISMATCH_SCORE,
+        dtype=dtype,
+    )
+    up = 2 * GAP_PENALTY - MISMATCH_SCORE
+    U = np.zeros((w + 1, R, W), dtype=dtype)
+    cols = list(U)
+    for i in range(m):
+        np.maximum(U[:-1] + gain[i], U[1:] + up, out=U[1:])
+        U[0] = up * (i + 1)
+        # One call per column beats np.maximum.accumulate(axis=0), whose
+        # strided inner loop is many times slower on this layout.
+        for left, cell in zip(cols, cols[1:]):
+            np.maximum(left, cell, out=cell)
+    return U[w]
 
 
 @dataclass(frozen=True)
