@@ -108,7 +108,8 @@ def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
     out = np.empty((R, W), dtype=np.int64)
     for start in range(0, W, step):
         out[:, start:start + step] = _nw_last_row(ref_ids, win_ids[start:start + step], dtype)
-    return out + (GAP_PENALTY * w + (MISMATCH_SCORE - GAP_PENALTY) * m)
+    out += GAP_PENALTY * w + (MISMATCH_SCORE - GAP_PENALTY) * m
+    return out
 
 
 def _nw_last_row(ref_ids: np.ndarray, win_ids: np.ndarray, dtype) -> np.ndarray:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -358,6 +359,44 @@ class TestSlidingMatchOracle:
             r = sliding_match_score(names, tala)
             assert (r.sigma_nw, r.per_window_max, r.short_input) == seed_sliding_match_score(names, tala)
         assert sliding_match_score(names, IMPOSTOR_TINTAL).sigma_nw == 8.0
+
+
+def _noisy_tintal(n):
+    perf = generate_performance(PerformanceSpec(tala="Tintal", cycles=-(-2 * n // 16)))
+    names = corrupt(perf, NoiseSpec(p_sub=0.1, p_del=0.1, p_ins=0.05, seed=11)).names[:n]
+    assert len(names) == n
+    return names
+
+
+def _identify_peak_bytes(names):
+    tracemalloc.start()
+    try:
+        identify_tala_nw(names)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNwScaling:
+    def test_peak_memory_bounded_on_long_noisy_input(self):
+        # Noisy windows are nearly all distinct, so nothing is saved by
+        # deduplication; only chunking keeps the DP's working set fixed.
+        small = _identify_peak_bytes(_noisy_tintal(2_000))
+        large = _identify_peak_bytes(_noisy_tintal(20_000))
+        assert large < 32 * 2**20
+        assert large < 2 * small
+
+    def test_canonicalises_each_distinct_token_once(self, monkeypatch):
+        calls = Counter()
+        original = TalaDefinition.canonical_stroke
+
+        def counting(self, name):
+            calls[self.name, name] += 1
+            return original(self, name)
+
+        monkeypatch.setattr(TalaDefinition, "canonical_stroke", counting)
+        identify_tala_nw(["Dha", "Ta", "Zzz"] * 50)
+        assert calls == Counter({(t.name, n): 1 for t in builtin_talas() for n in ("Dha", "Ta", "Zzz")})
 
 
 class TestIdentifyNw:
