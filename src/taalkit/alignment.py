@@ -92,8 +92,8 @@ def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
 
     ``ref_ids`` is (R, m) and ``win_ids`` is (W, w); returns an (R, W)
     int64 matrix.  All pairs advance through the DP together, one row of
-    ``m`` at a time, over chunks of about ``DP_CHUNK_CELLS`` cells, so peak
-    memory does not grow with the number of windows.
+    ``m`` at a time, over chunks of about ``DP_CHUNK_CELLS`` cells, so the
+    working set does not grow with the number of windows.
 
     Row ``i`` is held as ``U[j] = S[i, j] - GAP*j - (MISMATCH - GAP)*i``.
     A diagonal step then adds 0 or MATCH - MISMATCH, a vertical step adds
@@ -103,19 +103,19 @@ def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
     """
     R, m = ref_ids.shape
     W, w = win_ids.shape
-    dtype = np.int16 if 3 * (m + w + 1) <= np.iinfo(np.int16).max else np.int64
     step = max(1, DP_CHUNK_CELLS // max(1, R * m * w))
     out = np.empty((R, W), dtype=np.int64)
     for start in range(0, W, step):
-        out[:, start:start + step] = _nw_last_row(ref_ids, win_ids[start:start + step], dtype)
+        out[:, start:start + step] = _nw_last_row(ref_ids, win_ids[start:start + step])
     out += GAP_PENALTY * w + (MISMATCH_SCORE - GAP_PENALTY) * m
     return out
 
 
-def _nw_last_row(ref_ids: np.ndarray, win_ids: np.ndarray, dtype) -> np.ndarray:
+def _nw_last_row(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
     """Final ``U[m, w]`` of every pair in one chunk, laid out (R, W)."""
     R, m = ref_ids.shape
     W, w = win_ids.shape
+    dtype = np.int16 if 3 * (m + w + 1) <= np.iinfo(np.int16).max else np.int64
     # gain[i, j] is the diagonal step into cell (i+1, j+1), for every pair.
     gain = np.multiply(
         ref_ids.T[:, None, :, None] == win_ids.T[None, :, None, :],

@@ -53,7 +53,7 @@ def brute_nw(x, y):
     return best[0]
 
 
-def seed_batch_nw_scores(ref_ids, win_ids):
+def reference_batch_nw_scores(ref_ids, win_ids):
     """The original batched DP: a full int64 match tensor over every pair."""
     R, m = ref_ids.shape
     W, w = win_ids.shape
@@ -74,7 +74,7 @@ def seed_batch_nw_scores(ref_ids, win_ids):
     return prev[:, -1].reshape(R, W)
 
 
-def _seed_symbol_ids(names, table):
+def _reference_symbol_ids(names, table):
     out = np.empty(len(names), dtype=np.int64)
     for k, n in enumerate(names):
         if n not in table:
@@ -83,7 +83,7 @@ def _seed_symbol_ids(names, table):
     return out
 
 
-def seed_sliding_match_score(names, tala, gharana_equiv=True):
+def reference_sliding_match_score(names, tala, gharana_equiv=True):
     """The original sliding-frame matcher: every window, every call rebuilt.
 
     Returns ``(sigma_nw, block_maxima, short_input)``.
@@ -92,14 +92,14 @@ def seed_sliding_match_score(names, tala, gharana_equiv=True):
         names = tuple(tala.canonical_stroke(n) for n in names)
     m = tala.matra_count
     table = {}
-    theka_ids = _seed_symbol_ids(tala.theka_names, table)
-    seq_ids = _seed_symbol_ids(names, table)
+    theka_ids = _reference_symbol_ids(tala.theka_names, table)
+    seq_ids = _reference_symbol_ids(names, table)
     rotations = np.stack([np.roll(theka_ids, -r) for r in range(m)])
     if len(names) < m:
-        best = int(seed_batch_nw_scores(rotations, seq_ids[None, :]).max())
+        best = int(reference_batch_nw_scores(rotations, seq_ids[None, :]).max())
         return float(best), (best,), True
     windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)
-    best_per_offset = seed_batch_nw_scores(rotations, windows).max(axis=0)
+    best_per_offset = reference_batch_nw_scores(rotations, windows).max(axis=0)
     k = math.ceil(len(best_per_offset) / m)
     block_maxima = tuple(int(best_per_offset[b * m:(b + 1) * m].max()) for b in range(k))
     return float(np.mean(block_maxima)), block_maxima, False
@@ -271,13 +271,13 @@ class TestBatchScores:
         st.integers(0, 2**32),
     )
     @settings(max_examples=100)
-    def test_matches_seed_dp(self, m, w, n_windows, n_symbols, seed):
+    def test_matches_reference_dp(self, m, w, n_windows, n_symbols, seed):
         rng = np.random.default_rng(seed)
         refs = rng.integers(0, n_symbols, size=(m, m))
         wins = rng.integers(0, n_symbols, size=(n_windows, w))
         out = batch_nw_scores(refs, wins)
         assert out.dtype == np.int64
-        assert np.array_equal(out, seed_batch_nw_scores(refs, wins))
+        assert np.array_equal(out, reference_batch_nw_scores(refs, wins))
 
 
 class TestLcs:
@@ -346,9 +346,9 @@ class TestSlidingMatchOracle:
 
     @given(stroke_inputs, st.sampled_from(ORACLE_TALAS), st.booleans())
     @settings(max_examples=300)
-    def test_equals_seed_matcher(self, names, tala, gharana_equiv):
+    def test_equals_reference_matcher(self, names, tala, gharana_equiv):
         r = sliding_match_score(names, tala, gharana_equiv=gharana_equiv)
-        sigma, maxima, short = seed_sliding_match_score(names, tala, gharana_equiv)
+        sigma, maxima, short = reference_sliding_match_score(names, tala, gharana_equiv)
         assert r.sigma_nw == sigma
         assert r.per_window_max == maxima
         assert r.short_input == short
@@ -357,7 +357,7 @@ class TestSlidingMatchOracle:
         names = IMPOSTOR_TINTAL.theka_names * 3
         for tala in (TINTAL, IMPOSTOR_TINTAL, TINTAL):
             r = sliding_match_score(names, tala)
-            assert (r.sigma_nw, r.per_window_max, r.short_input) == seed_sliding_match_score(names, tala)
+            assert (r.sigma_nw, r.per_window_max, r.short_input) == reference_sliding_match_score(names, tala)
         assert sliding_match_score(names, IMPOSTOR_TINTAL).sigma_nw == 8.0
 
 

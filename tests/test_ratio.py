@@ -14,7 +14,7 @@ from taalkit.talas import TalaDefinition, builtin_talas, get_tala, stroke_histog
 TOKEN_POOL = (*default_insertion_vocabulary(), "Ta", "Zzz", "Qq")
 
 
-def seed_ratio_ranking(names, gharana_equiv):
+def reference_ratio_ranking(names, gharana_equiv):
     """The original ranking: every stroke canonicalised and counted one by one."""
     entries = []
     for t in builtin_talas():
@@ -129,7 +129,7 @@ class TestIdentifyRatio:
     def test_equals_per_stroke_ranking(self, names, gharana_equiv):
         result = identify_tala_ratio(names, gharana_equiv=gharana_equiv)
         got = [(s.tala, s.score, s.normalized, s.coverage) for s in result.ranking]
-        assert got == seed_ratio_ranking(names, gharana_equiv)
+        assert got == reference_ratio_ranking(names, gharana_equiv)
 
     def test_canonicalises_each_distinct_token_once(self, monkeypatch):
         calls = Counter()
