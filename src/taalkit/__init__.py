@@ -27,10 +27,9 @@ from .alignment import (
     lcs_baseline_score,
     nw_align,
     nw_score,
-    nw_score_matrix,
     sliding_match_score,
 )
-from .autodiff import Tensor, central_difference, grad, log_softmax, logsumexp, softmax
+from .autodiff import Tensor, grad, log_softmax, logsumexp, softmax
 from .maml import (
     AdaptResult,
     DivergenceError,
@@ -65,16 +64,12 @@ from .surrogate import (
     SurrogateModel,
     class_weights,
     class_weights_from_labels,
-    flatten_params,
     head_logits,
     init_head,
     load_model,
-    param_shapes,
     save_model,
     sgd_step,
-    unflatten_params,
     wce_loss,
-    wce_loss_probs,
 )
 from .talas import (
     NO_STROKE,
@@ -119,12 +114,10 @@ __all__ = [
     "Tensor",
     "batch_nw_scores",
     "builtin_talas",
-    "central_difference",
     "class_weights",
     "class_weights_from_labels",
     "corrupt",
     "cosine_similarity",
-    "flatten_params",
     "generate_performance",
     "get_tala",
     "grad",
@@ -144,11 +137,9 @@ __all__ = [
     "meta_update",
     "nw_align",
     "nw_score",
-    "nw_score_matrix",
     "onset_f1",
     "onsets_from_frames",
     "paired_few_shot_eval",
-    "param_shapes",
     "query_objective",
     "read_onsets_csv",
     "save_model",
@@ -159,8 +150,6 @@ __all__ = [
     "stroke_histogram",
     "synth_task_source",
     "take_tasks",
-    "unflatten_params",
     "wce_loss",
-    "wce_loss_probs",
     "write_onsets_csv",
 ]

@@ -31,7 +31,7 @@ def _names(seq) -> tuple[str, ...]:
     return tuple(s if isinstance(s, str) else s.name for s in seq)
 
 
-def nw_score_matrix(x_ref, y) -> np.ndarray:
+def _nw_score_matrix(x_ref, y) -> np.ndarray:
     """Full (m+1)x(w+1) global-alignment score matrix for two sequences.
 
     ``S[i][j]`` is the best score aligning the first ``i`` strokes of
@@ -57,7 +57,7 @@ def nw_score_matrix(x_ref, y) -> np.ndarray:
 
 def nw_score(x_ref, y) -> int:
     """Optimal global-alignment score of two stroke sequences."""
-    return int(nw_score_matrix(x_ref, y)[-1, -1])
+    return int(_nw_score_matrix(x_ref, y)[-1, -1])
 
 
 def nw_align(x_ref, y) -> tuple[int, list[tuple[str | None, str | None]]]:
@@ -67,7 +67,7 @@ def nw_align(x_ref, y) -> tuple[int, list[tuple[str | None, str | None]]]:
     returned path equals ``nw_score(x_ref, y)`` by construction.
     """
     xs, ys = _names(x_ref), _names(y)
-    S = nw_score_matrix(xs, ys)
+    S = _nw_score_matrix(xs, ys)
     i, j = len(xs), len(ys)
     path: list[tuple[str | None, str | None]] = []
     while i > 0 or j > 0:
@@ -143,10 +143,6 @@ class MatchResult:
     per_window_max: tuple[int, ...]
     short_input: bool = False
 
-    @property
-    def window_count(self) -> int:
-        return len(self.per_window_max)
-
 
 @dataclass(frozen=True)
 class TalaScore:
@@ -171,6 +167,18 @@ class RankedResult:
     @property
     def best(self) -> TalaScore:
         return self.ranking[0]
+
+
+def rank(
+    method: str,
+    talas: Sequence[TalaDefinition],
+    scores: Sequence[TalaScore],
+    flags: Sequence[str],
+) -> RankedResult:
+    """Order each tala's score by descending normalized score; ties break by
+    ascending matra count, then name."""
+    order = sorted(zip(talas, scores), key=lambda e: (-e[1].normalized, e[0].matra_count, e[0].name))
+    return RankedResult(method=method, ranking=tuple(s for _, s in order), flags=tuple(flags))
 
 
 def sliding_match_score(
@@ -238,19 +246,18 @@ def identify_tala_nw(
     if not talas:
         raise ValueError("at least one tala required")
     names = _names(transcribed)
-    entries = []
+    scores = []
     short = False
     for t in talas:
         r = sliding_match_score(names, t, gharana_equiv=gharana_equiv)
         short = short or r.short_input
-        entries.append((t, TalaScore(tala=t.name, score=r.sigma_nw, normalized=r.sigma_nw / t.matra_count)))
-    entries.sort(key=lambda e: (-e[1].normalized, e[0].matra_count, e[0].name))
+        scores.append(TalaScore(tala=t.name, score=r.sigma_nw, normalized=r.sigma_nw / t.matra_count))
     flags = []
-    if entries[0][1].normalized < 0:
+    if max(s.normalized for s in scores) < 0:
         flags.append("low_confidence")
     if short:
         flags.append("short_input")
-    return RankedResult(method="nw", ranking=tuple(s for _, s in entries), flags=tuple(flags))
+    return rank("nw", talas, scores, flags)
 
 
 def lcs_baseline_score(x, y) -> int:

@@ -304,24 +304,3 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     return log_softmax(t, axis=axis).exp()
-
-
-def central_difference(
-    f: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function, for testing."""
-    x = np.array(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    flat = out.reshape(-1)
-    xf = x.reshape(-1)
-    for i in range(xf.size):
-        orig = xf[i]
-        xf[i] = orig + eps
-        hi = f(x)
-        xf[i] = orig - eps
-        lo = f(x)
-        xf[i] = orig
-        flat[i] = (hi - lo) / (2.0 * eps)
-    return out

@@ -12,6 +12,7 @@ wall-clock readings never appear in seeded outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -64,7 +65,7 @@ def _json_dumps(obj) -> str:
 def cmd_identify(args: argparse.Namespace) -> int:
     try:
         tokens = read_stroke_tokens(args.file)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(str(e)) from e
     if not tokens:
         raise InputError("empty sequence")
@@ -138,9 +139,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             rng = np.random.default_rng(np.random.SeedSequence([args.seed, ti, trial]))
             offset = int(rng.integers(0, tala.matra_count))
             noise_seed = int(rng.integers(0, 2**63))
-            spec = PerformanceSpec(
-                tala=name, cycles=args.cycles, tempo_bpm=args.tempo, start_offset=offset
-            )
+            try:
+                spec = PerformanceSpec(
+                    tala=name, cycles=args.cycles, tempo_bpm=args.tempo, start_offset=offset
+                )
+            except ValueError as e:
+                raise InputError(str(e)) from e
             worlds.append((generate_performance(spec), noise_seed))
         trial_worlds[name] = worlds
 
@@ -150,7 +154,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             hits = {"nw": 0, "ratio": 0}
             score_sum = {"nw": 0.0, "ratio": 0.0}
             for clean, noise_seed in trial_worlds[name]:
-                noise = NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins, seed=noise_seed)
+                try:
+                    noise = NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins, seed=noise_seed)
+                except ValueError as e:
+                    raise InputError(str(e)) from e
                 noisy = corrupt(clean, noise)
                 if len(noisy) == 0:
                     continue
@@ -242,6 +249,8 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
         raise InputError("--support and --query must be positive")
     if args.n_test_tasks < 1:
         raise InputError("--n-test-tasks must be at least 1")
+    if args.hidden < 1:
+        raise InputError("--hidden must be at least 1")
     try:
         task_cfg = SyntheticTaskConfig(
             n_features=args.features,
@@ -303,7 +312,17 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+# Commands are looked up by name at call time, so the cached parser never
+# pins a command function.
+_COMMANDS = {
+    "identify": cmd_identify,
+    "eval": cmd_eval,
+    "bench": cmd_bench,
+    "maml-demo": cmd_maml_demo,
+}
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taalkit",
@@ -321,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="map gharana stroke variants to canonical names before scoring",
     )
-    p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("eval", help="noise-grid accuracy sweep, CSV output")
     p.add_argument("--talas", default="all", help="comma-separated tala names, or 'all'")
@@ -333,14 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="identification latency benchmark, CSV output")
     p.add_argument("--length-strokes", type=int, default=240)
     p.add_argument("--repeats", type=int, default=1000)
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("maml-demo", help="meta-train on synthetic tasks and report win-rate")
     p.add_argument("--config", default=None, help="flat JSON file of config fields")
@@ -358,20 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--n-test-tasks", type=int, default=50)
     p.add_argument("--out", default=".", help="directory for curve and trace CSVs")
-    p.set_defaults(func=cmd_maml_demo)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:  # noqa: BLE001 - surface as invariant violation

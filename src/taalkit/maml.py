@@ -14,7 +14,7 @@ meta-training cannot touch it by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -72,9 +72,6 @@ class MamlConfig:
             raise ValueError("tasks_per_batch must be positive")
         if self.order not in (1, 2):
             raise ValueError("order must be 1 (first-order) or 2 (exact)")
-
-    def with_overrides(self, **kwargs) -> "MamlConfig":
-        return replace(self, **kwargs)
 
 
 class DivergenceError(RuntimeError):
@@ -207,7 +204,9 @@ def meta_test_adapt(
     """Adapt a copy of the head to one unseen task and score its query set.
 
     Runs ``adapt_iters`` repetitions of the ``inner_steps``-step loop, plain
-    first-order descent (there is no outer objective at test time).  When
+    first-order descent (there is no outer objective at test time), one
+    ``inner_adapt`` step at a time so each step can be traced; a
+    ``DivergenceError`` carries the running step number.  When
     the task's class count differs from the head's, the output layer is
     redrawn from ``redim_seed`` and the first layer carries over.  The trace
     row at step k holds support and query loss after k steps.
@@ -235,18 +234,12 @@ def meta_test_adapt(
         return sup, q
 
     trace = [(0, *losses(params))]
-    step = 0
-    for _ in range(cfg.adapt_iters):
-        for _ in range(cfg.inner_steps):
-            if not all(np.isfinite(p.data).all() for p in params):
-                raise DivergenceError(step + 1)
-            loss = wce_loss(head_logits(sh, params), task.support_y, w)
-            if not np.isfinite(loss.item()):
-                raise DivergenceError(step + 1)
-            grads = grad(loss, params)
-            params = sgd_step(params, grads, cfg.alpha)
-            step += 1
-            trace.append((step, *losses(params)))
+    for step in range(1, cfg.adapt_iters * cfg.inner_steps + 1):
+        try:
+            params, _ = inner_adapt(sh, task.support_y, params, w, cfg.alpha, 1, False)
+        except DivergenceError:
+            raise DivergenceError(step) from None
+        trace.append((step, *losses(params)))
 
     final = [Tensor(p.data.copy(), requires_grad=True) for p in params]
     query_loss = trace[-1][2]

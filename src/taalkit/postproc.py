@@ -7,13 +7,12 @@ class once the amplitude envelope drops below 3% of the segment peak.
 
 Evaluation follows the usual onset-detection protocol: an estimated onset
 counts as correct when it lies within a +/-50 ms collar of an unmatched
-reference onset of the same class, with the pairing chosen by maximum
-bipartite matching so no event is used twice.
+reference onset of the same class, with the pairing chosen by a maximum
+one-to-one matching so no event is used twice.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -85,7 +84,8 @@ class OnsetAnnotation:
         events = tuple((float(t), str(lab)) for t, lab in self.events)
         object.__setattr__(self, "events", events)
         times = [t for t, _ in events]
-        if any(b < a for a, b in zip(times, times[1:])):
+        # ``<=`` also rejects NaN, which would break the sorted walk in onset_f1.
+        if not all(a <= b for a, b in zip(times, times[1:])):
             raise ValueError("onset times must be non-decreasing")
         if any(lab == NO_STROKE for _, lab in events):
             raise ValueError(f"{NO_STROKE} cannot appear as an onset event")
@@ -177,30 +177,22 @@ def label_no_stroke(frames: FrameLabelSequence, envelope: Sequence[float]) -> Fr
 
 
 def _max_matching(ref_times: Sequence[float], est_times: Sequence[float], collar: float) -> int:
-    """Size of a maximum bipartite matching between onset lists.
+    """Size of a maximum one-to-one matching between two sorted onset lists.
 
-    Edges join events within the collar (inclusive); Kuhn's augmenting-path
-    algorithm, plenty for per-class event counts.
+    Each event's collar neighbourhood is an interval of the other list whose
+    ends move monotonically with time, so a greedy two-pointer walk that
+    pairs the earliest unmatched events is optimal.
     """
-    adj = [
-        [j for j, te in enumerate(est_times) if within_collar(tr, te, collar)]
-        for tr in ref_times
-    ]
-    match_est = [-1] * len(est_times)
-
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in adj[i]:
-            if not visited[j]:
-                visited[j] = True
-                if match_est[j] == -1 or try_augment(match_est[j], visited):
-                    match_est[j] = i
-                    return True
-        return False
-
-    matched = 0
-    for i in range(len(ref_times)):
-        if try_augment(i, [False] * len(est_times)):
+    i = j = matched = 0
+    while i < len(ref_times) and j < len(est_times):
+        if within_collar(ref_times[i], est_times[j], collar):
             matched += 1
+            i += 1
+            j += 1
+        elif ref_times[i] < est_times[j]:
+            i += 1
+        else:
+            j += 1
     return matched
 
 
@@ -238,7 +230,7 @@ def onset_f1(
     """Per-class and averaged precision/recall/F1 with a time collar.
 
     Events match when their class agrees and their times differ by at most
-    ``collar_seconds`` (inclusive), under maximum bipartite matching.  The
+    ``collar_seconds`` (inclusive), under a maximum one-to-one matching.  The
     headline averages are unweighted means over classes present in the
     reference; ``weighted_f1`` weights those classes by reference support.
     """
@@ -304,9 +296,3 @@ def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
         if own:
             fh.close()
     return OnsetAnnotation(tuple(events))
-
-
-def onsets_csv_string(annotation: OnsetAnnotation) -> str:
-    buf = io.StringIO()
-    write_onsets_csv(annotation, buf)
-    return buf.getvalue()

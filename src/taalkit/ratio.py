@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import RankedResult, TalaScore
+from .alignment import RankedResult, TalaScore, rank
 from .talas import StrokeSequence, TalaDefinition, builtin_talas, stroke_histogram
 
 
@@ -59,7 +59,7 @@ def identify_tala_ratio(
     if not names:
         raise ValueError("empty sequence")
     distinct = dict.fromkeys(names)
-    entries = []
+    scores = []
     for t in talas:
         mapped = names
         if gharana_equiv:
@@ -68,7 +68,6 @@ def identify_tala_ratio(
         counts, oov = stroke_histogram(mapped, t.stroke_vocabulary)
         coverage = (len(mapped) - oov) / len(mapped)
         cos = cosine_similarity(np.asarray(t.reference_ratio), counts)
-        entries.append((t, TalaScore(tala=t.name, score=cos, normalized=cos * coverage, coverage=coverage)))
-    entries.sort(key=lambda e: (-e[1].normalized, e[0].matra_count, e[0].name))
-    flags = ("low_confidence",) if entries[0][1].normalized == 0.0 else ()
-    return RankedResult(method="ratio", ranking=tuple(s for _, s in entries), flags=flags)
+        scores.append(TalaScore(tala=t.name, score=cos, normalized=cos * coverage, coverage=coverage))
+    flags = ("low_confidence",) if max(s.normalized for s in scores) == 0.0 else ()
+    return rank("ratio", talas, scores, flags)

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable, TextIO
 
-from .talas import TOKEN_ALIASES, StrokeSequence, builtin_talas
+from .talas import TOKEN_ALIASES, builtin_talas
 
 TOKENS_PER_LINE = 8
-
-
-def normalize_token(token: str) -> str:
-    return TOKEN_ALIASES.get(token, token)
 
 
 def read_stroke_tokens(src: str | TextIO) -> list[str]:
@@ -25,23 +21,15 @@ def read_stroke_tokens(src: str | TextIO) -> list[str]:
     own = isinstance(src, str)
     fh: TextIO = open(src, "r", encoding="utf-8") if own else src
     try:
-        tokens: list[str] = []
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens.extend(normalize_token(t) for t in stripped.split())
-        return tokens
+        return [
+            TOKEN_ALIASES.get(t, t)
+            for words in map(str.split, fh)
+            if words and not words[0].startswith("#")
+            for t in words
+        ]
     finally:
         if own:
             fh.close()
-
-
-def read_stroke_sequence(src: str | TextIO) -> StrokeSequence:
-    tokens = read_stroke_tokens(src)
-    if not tokens:
-        raise ValueError("empty sequence")
-    return StrokeSequence.from_names(tokens)
 
 
 def write_stroke_tokens(tokens: Iterable[str], dest: str | TextIO) -> None:

@@ -48,8 +48,8 @@ class PerformanceSpec:
     def __post_init__(self):
         if self.cycles < 1:
             raise ValueError("cycles must be a positive integer")
-        if self.tempo_bpm <= 0:
-            raise ValueError("tempo must be positive")
+        if not 0 < self.tempo_bpm < float("inf"):
+            raise ValueError("tempo must be positive and finite")
         m = get_tala(self.tala).matra_count
         if not 0 <= self.start_offset < m:
             raise ValueError(f"start_offset must lie in [0, {m})")
@@ -74,10 +74,6 @@ class NoiseSpec:
             raise ValueError("p_sub + p_del must not exceed 1")
         if not self.insertion_vocabulary:
             object.__setattr__(self, "insertion_vocabulary", default_insertion_vocabulary())
-
-    @property
-    def is_identity(self) -> bool:
-        return self.p_sub == 0.0 and self.p_del == 0.0 and self.p_ins == 0.0
 
 
 def generate_performance(spec: PerformanceSpec) -> StrokeSequence:

@@ -162,58 +162,12 @@ def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     return -(picked * Tensor(weights[labels])).sum() / t
 
 
-def wce_loss_probs(predictions: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted cross-entropy on ready-made distributions.
-
-    `predictions` and `targets` are (n_classes, n_frames): each prediction
-    column a probability distribution, each target column one-hot.  Same
-    value as `wce_loss` on the corresponding logits, for callers that only
-    have probabilities.
-    """
-    p = np.asarray(predictions, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if p.ndim != 2 or p.shape != y.shape:
-        raise ValueError(f"predictions {p.shape} and targets {y.shape} must match as (C, T)")
-    if w.shape != (p.shape[0],):
-        raise ValueError(f"weights shape {w.shape} does not match {p.shape[0]} classes")
-    if not (np.isfinite(p).all() and np.isfinite(y).all() and np.isfinite(w).all()):
-        raise ValueError("non-finite values in inputs")
-    if np.abs(p.sum(axis=0) - 1.0).max() > 1e-6 or (p < 0).any():
-        raise ValueError("prediction columns must be probability distributions")
-    logp = np.log(np.clip(p, PROB_FLOOR, None))
-    return float(-(w[:, None] * y * logp).sum() / p.shape[1])
-
-
 def sgd_step(params: Sequence[Tensor], grads: Sequence[Tensor], lr: float) -> list[Tensor]:
     """One functional gradient step; stays differentiable if the grads are."""
     for g in grads:
         if not np.isfinite(g.data).all():
             raise ValueError("non-finite gradient")
     return [p - float(lr) * g for p, g in zip(params, grads)]
-
-
-def param_shapes(params: Sequence[Tensor]) -> list[tuple[int, ...]]:
-    """Layout descriptor of a parameter list (one shape per layer)."""
-    return [tuple(p.shape) for p in params]
-
-
-def flatten_params(params: Sequence[Tensor]) -> np.ndarray:
-    """Concatenate parameter values into one flat float64 vector."""
-    return np.concatenate([np.asarray(p.data, dtype=np.float64).ravel() for p in params])
-
-
-def unflatten_params(vec: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[Tensor]:
-    """Rebuild fresh leaf tensors from a flat vector and a layout."""
-    vec = np.asarray(vec, dtype=np.float64)
-    sizes = [int(np.prod(s)) if len(s) else 1 for s in shapes]
-    if vec.size != sum(sizes):
-        raise ValueError(f"vector of size {vec.size} does not fit layout {list(shapes)}")
-    out, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        out.append(Tensor(vec[start : start + size].reshape(shape).copy(), requires_grad=True))
-        start += size
-    return out
 
 
 @dataclass

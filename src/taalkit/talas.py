@@ -11,7 +11,6 @@ formats stay stable; display names may carry diacritics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from collections import Counter
 from functools import cached_property
@@ -174,18 +173,6 @@ class TalaDefinition:
                 return variant
         return name
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "display_name": self.display_name,
-            "matra_count": self.matra_count,
-            "vibhag_lengths": list(self.vibhag_lengths),
-            "theka": list(self.theka_names),
-            "vocabulary": [s.name for s in self.stroke_vocabulary],
-            "reference_ratio": list(self.reference_ratio),
-            "gharana_equivalents": dict(self.gharana_equivalents),
-        }
-
 
 def _tala(name, display, vibhags, theka_tokens, vocab_tokens, equivalents=None) -> TalaDefinition:
     vocab = make_vocabulary(vocab_tokens)
@@ -283,9 +270,3 @@ def stroke_histogram(
         else:
             counts[i] += k
     return counts, oov
-
-
-def talas_to_json(talas: Iterable[TalaDefinition] | None = None, indent: int = 2) -> str:
-    """Export tala definitions as a JSON document."""
-    talas = builtin_talas() if talas is None else list(talas)
-    return json.dumps({"talas": [t.to_dict() for t in talas]}, indent=indent, ensure_ascii=False)

@@ -19,23 +19,18 @@ import time
 import numpy as np
 
 from conftest import record_acceptance
+from gradcheck import central_difference, flatten_params, param_shapes, unflatten_params
 from taalkit.alignment import (
     batch_nw_scores,
     identify_tala_nw,
     lcs_baseline_score,
     nw_score,
 )
-from taalkit.autodiff import central_difference
 from taalkit.maml import MamlConfig, meta_gradients, query_objective
 from taalkit.postproc import OnsetAnnotation, onset_f1
 from taalkit.ratio import identify_tala_ratio
 from taalkit.simulate import PerformanceSpec, generate_performance
-from taalkit.surrogate import (
-    SurrogateModel,
-    flatten_params,
-    param_shapes,
-    unflatten_params,
-)
+from taalkit.surrogate import SurrogateModel
 from taalkit.talas import builtin_talas
 from taalkit.tasks import SyntheticTaskConfig, synth_task_source, take_tasks
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from gradcheck import central_difference
 from taalkit.autodiff import (
     Tensor,
-    central_difference,
     grad,
     log_softmax,
     logsumexp,

@@ -251,3 +251,41 @@ class TestExitCodes:
         monkeypatch.setitem(cli_module._IDENTIFIERS, "nw", boom)
         assert main(["identify", ektal_file, "--method", "nw"]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_internal_value_error_is_exit_3(self, ektal_file, capsys, monkeypatch):
+        import taalkit.cli as cli_module
+
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setitem(cli_module._IDENTIFIERS, "nw", boom)
+        assert main(["identify", ektal_file, "--method", "nw"]) == 3
+        assert "internal error: ValueError" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes("Dha Dhin Na\n".encode("utf-16"))
+        assert main(["identify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--cycles", "0"],
+            ["eval", "--tempo", "0"],
+            ["eval", "--tempo", "inf"],
+            ["eval", "--tempo", "nan"],
+            ["eval", "--p-sub", "0.6", "--p-del", "0.5"],
+            DEMO_ARGS + ["--hidden", "0"],
+            DEMO_ARGS + ["--hidden", "-1"],
+        ],
+    )
+    def test_bad_value_is_exit_2_with_one_line(self, argv, tmp_path, capsys):
+        if argv[0] == "eval":
+            argv = argv + ["--trials", "1", "--out", str(tmp_path / "eval.csv")]
+        else:
+            argv = argv + ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

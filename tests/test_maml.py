@@ -1,8 +1,11 @@
 """Tests for the two-level meta-optimization loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gradcheck import central_difference, flatten_params, param_shapes, unflatten_params
 from taalkit.autodiff import Tensor, grad
 from taalkit.maml import (
     DivergenceError,
@@ -18,12 +21,9 @@ from taalkit.maml import (
 from taalkit.surrogate import (
     SurrogateModel,
     class_weights_from_labels,
-    flatten_params,
     head_logits,
     init_head,
-    param_shapes,
     sgd_step,
-    unflatten_params,
     wce_loss,
 )
 from taalkit.tasks import SyntheticTaskConfig, synth_task_source, take_tasks
@@ -71,7 +71,7 @@ class TestConfig:
             MamlConfig(epochs=-1)
 
     def test_with_overrides(self):
-        cfg = MamlConfig().with_overrides(alpha=0.5, epochs=7)
+        cfg = dataclasses.replace(MamlConfig(), alpha=0.5, epochs=7)
         assert cfg.alpha == 0.5
         assert cfg.epochs == 7
         assert cfg.beta == 0.001  # untouched
@@ -139,8 +139,6 @@ class TestInnerAdapt:
 class TestMetaGradients:
     @pytest.mark.parametrize("inner_steps", [1, 2, 3])
     def test_second_order_matches_finite_differences(self, inner_steps):
-        from taalkit.autodiff import central_difference
-
         model = tiny_model(seed=inner_steps)
         tcfg = SyntheticTaskConfig(
             n_features=4, class_range=(3, 3), bank_size=4, support_size=6,
@@ -317,6 +315,29 @@ class TestMetaTestAdapt:
         assert np.array_equal(out.head[2].data, again.head[2].data)
         other = meta_test_adapt(model, task, MamlConfig(adapt_iters=0), redim_seed=6)
         assert not np.array_equal(out.head[2].data, other.head[2].data)
+
+    def test_divergence_step_counts_across_repetitions(self):
+        # With a zero first layer and a large output layer the support
+        # gradient is big enough that one step of this size overflows the
+        # head.  The next step, the first of the second repetition, detects
+        # it and must report the running step, not its step within the
+        # repetition.
+        tcfg = easy_task_config(seed=1, support_size=12, query_size=6)
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(1))
+        task = next(synth_task_source(tcfg))
+        rng = np.random.default_rng(1)
+        head = [
+            Tensor(np.zeros((8, 8)), requires_grad=True),
+            Tensor(np.zeros(8), requires_grad=True),
+            Tensor(rng.normal(0.0, 10.0, size=(8, 3)), requires_grad=True),
+            Tensor(np.zeros(3), requires_grad=True),
+        ]
+        cfg = MamlConfig(alpha=1e308, inner_steps=1, adapt_iters=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                meta_test_adapt(model, task, cfg, head=head)
+        assert exc.value.step == 2
+        assert "diverged at inner step 2" in str(exc.value)
 
     def test_adaptation_on_training_distribution_reaches_high_accuracy(self):
         # Meta-train on an easy separable family, then adapt on a fresh task

@@ -15,9 +15,9 @@ from taalkit.postproc import (
     NO_STROKE_AMPLITUDE_FRACTION,
     FrameLabelSequence,
     OnsetAnnotation,
+    _max_matching,
     label_no_stroke,
     onset_f1,
-    onsets_csv_string,
     onsets_from_frames,
     read_onsets_csv,
     smooth_labels,
@@ -198,6 +198,9 @@ class TestOnsetAnnotation:
     def test_decreasing_times_rejected(self):
         with pytest.raises(ValueError):
             OnsetAnnotation(((0.2, "A"), (0.1, "B")))
+        # NaN compares false both ways, so it cannot sit in a sorted list.
+        with pytest.raises(ValueError):
+            OnsetAnnotation(((0.1, "A"), (float("nan"), "A"), (0.2, "A")))
 
     def test_no_stroke_event_rejected(self):
         with pytest.raises(ValueError):
@@ -282,10 +285,53 @@ class TestOnsetF1:
             onset_f1(ann, ann, collar_seconds=0.0)
 
 
+def reference_max_matching(ref_times, est_times, collar):
+    """Maximum bipartite matching by Kuhn's augmenting paths (the original
+    onset matcher), as the oracle for the two-pointer walk."""
+    adj = [[j for j, te in enumerate(est_times) if within_collar(tr, te, collar)] for tr in ref_times]
+    match_est = [-1] * len(est_times)
+
+    def try_augment(i, visited):
+        for j in adj[i]:
+            if not visited[j]:
+                visited[j] = True
+                if match_est[j] == -1 or try_augment(match_est[j], visited):
+                    match_est[j] = i
+                    return True
+        return False
+
+    return sum(try_augment(i, [False] * len(est_times)) for i in range(len(ref_times)))
+
+
+class TestMaxMatching:
+    def test_long_chain_needs_no_recursion(self):
+        # Each estimate lies within the collar of two references, so every
+        # augmenting path runs back through the whole chain; the recursive
+        # matcher hit the recursion limit here.
+        ref = OnsetAnnotation(tuple((0.04 * i, "A") for i in range(1500)))
+        est = OnsetAnnotation(tuple((0.04 * i + 0.02, "A") for i in range(1500)))
+        assert onset_f1(ref, est).per_class["A"].n_match == 1500
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        ref=st.lists(st.integers(0, 30), max_size=12),
+        est=st.lists(st.integers(0, 30), max_size=12),
+        step=st.sampled_from([0.01, 0.025, 0.05]),
+    )
+    def test_equals_kuhn(self, ref, est, step):
+        # Integer grids give ties (repeated ticks) and gaps of exactly one
+        # collar (5, 2 or 1 ticks); empty lists are drawn too.
+        rt = [k * step for k in sorted(ref)]
+        et = [k * step for k in sorted(est)]
+        expected = reference_max_matching(rt, et, DEFAULT_COLLAR_SECONDS)
+        assert _max_matching(rt, et, DEFAULT_COLLAR_SECONDS) == expected
+
+
 class TestCsvInterchange:
     def test_golden_string(self):
-        ann = OnsetAnnotation(((0.02, "Dha"),))
-        assert onsets_csv_string(ann) == "time_sec,label\n0.020000,Dha\n"
+        buf = io.StringIO()
+        write_onsets_csv(OnsetAnnotation(((0.02, "Dha"),)), buf)
+        assert buf.getvalue() == "time_sec,label\n0.020000,Dha\n"
 
     def test_round_trip_stream(self):
         ann = OnsetAnnotation(((0.0, "Dha"), (0.25, "Tin"), (1.0 / 3.0, "Na")))

@@ -2,14 +2,10 @@
 
 import io
 
-import pytest
-
 from taalkit.seqio import (
     TOKENS_PER_LINE,
     known_stroke_names,
-    normalize_token,
     out_of_vocabulary,
-    read_stroke_sequence,
     read_stroke_tokens,
     write_stroke_tokens,
 )
@@ -17,12 +13,10 @@ from taalkit.seqio import (
 
 class TestNormalization:
     def test_aliases(self):
-        assert normalize_token("DhaGe") == "Dhage"
-        assert normalize_token("Tirakita") == "Tirkita"
+        assert read_stroke_tokens(io.StringIO("DhaGe Tirakita")) == ["Dhage", "Tirkita"]
 
     def test_unknown_tokens_pass_through(self):
-        assert normalize_token("Dha") == "Dha"
-        assert normalize_token("Zzz") == "Zzz"
+        assert read_stroke_tokens(io.StringIO("Dha Zzz")) == ["Dha", "Zzz"]
 
 
 class TestRead:
@@ -42,14 +36,6 @@ class TestRead:
         p = tmp_path / "strokes.txt"
         p.write_text("Dha Dhin\nTin\n", encoding="utf-8")
         assert read_stroke_tokens(str(p)) == ["Dha", "Dhin", "Tin"]
-
-    def test_sequence_from_tokens(self):
-        seq = read_stroke_sequence(io.StringIO("Dha Na Dha\n"))
-        assert seq.names == ("Dha", "Na", "Dha")
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="empty sequence"):
-            read_stroke_sequence(io.StringIO("# only comments\n\n"))
 
 
 class TestWrite:

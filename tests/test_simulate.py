@@ -25,8 +25,9 @@ class TestPerformanceSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             PerformanceSpec(tala="Tintal", cycles=0)
-        with pytest.raises(ValueError):
-            PerformanceSpec(tala="Tintal", cycles=1, tempo_bpm=0.0)
+        for tempo in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                PerformanceSpec(tala="Tintal", cycles=1, tempo_bpm=tempo)
         with pytest.raises(ValueError):
             PerformanceSpec(tala="Tintal", cycles=1, start_offset=16)
         with pytest.raises(KeyError):
@@ -88,7 +89,7 @@ class TestNoiseSpec:
     def test_default_insertion_vocabulary_filled(self):
         spec = NoiseSpec()
         assert spec.insertion_vocabulary == default_insertion_vocabulary()
-        assert spec.is_identity
+        assert (spec.p_sub, spec.p_del, spec.p_ins) == (0.0, 0.0, 0.0)
 
     def test_default_vocabulary_covers_all_thekas(self):
         vocab = set(default_insertion_vocabulary())

@@ -1,7 +1,5 @@
 """Tests for the tala catalogue and stroke-sequence primitives."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from taalkit.talas import (
     get_tala,
     make_vocabulary,
     stroke_histogram,
-    talas_to_json,
 )
 
 EXPECTED = {
@@ -85,15 +82,6 @@ class TestCatalogue:
         assert isinstance(tala.theka_names, tuple)
         assert isinstance(tala.stroke_vocabulary, tuple)
         assert isinstance(tala.reference_ratio, tuple)
-
-    def test_to_dict_round_trip_json(self):
-        doc = json.loads(talas_to_json())
-        assert sorted(d["name"] for d in doc["talas"]) == sorted(EXPECTED)
-        for d in doc["talas"]:
-            exp = EXPECTED[d["name"]]
-            assert d["matra_count"] == exp["m"]
-            assert tuple(d["vibhag_lengths"]) == exp["vibhags"]
-            assert tuple(d["reference_ratio"]) == exp["ratio"]
 
 
 class TestGharana:
