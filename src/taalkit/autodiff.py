@@ -9,11 +9,20 @@ gradient steps, and its exact derivative has to flow through those steps.
 
 The engine is deliberately tiny: float64 numpy arrays, a dozen primitives,
 no views, no in-place ops.  Everything a two-layer tanh network with a
-softmax cross-entropy loss needs, and nothing else.
+softmax cross-entropy loss needs, and nothing else.  ``@`` broadcasts over
+leading axes like ``np.matmul``, so a stack of tasks with a leading task
+axis runs through one graph instead of one graph per task.
+
+Nodes whose backward rule needs their own output (``exp``, ``tanh``,
+``recip``) hold it through a weak reference: a closure over the node itself
+would make every graph a reference cycle, freed only by the cyclic garbage
+collector.  The node is alive whenever its rule runs: ``grad`` holds it, and
+the gradient nodes the rule builds hold it through their ``_parents``.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +33,7 @@ Vjp = Callable[["Tensor"], tuple["Tensor | None", ...]]
 class Tensor:
     """A float64 array plus the recipe for back-propagating through it."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_needs")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_needs", "__weakref__")
 
     def __init__(
         self,
@@ -37,7 +46,10 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._vjp = _vjp
-        self._needs = self.requires_grad or any(p._needs for p in _parents)
+        needs = self.requires_grad
+        for p in _parents:
+            needs = needs or p._needs
+        self._needs = needs
 
     # --- introspection ---
 
@@ -71,23 +83,27 @@ class Tensor:
     # --- arithmetic ---
 
     def __add__(self, other) -> "Tensor":
-        other = ensure_tensor(other)
-        out = Tensor(
-            self.data + other.data,
-            _parents=(self, other),
-            _vjp=lambda g: (_sum_to(g, self.shape), _sum_to(g, other.shape)),
+        a, b = self, ensure_tensor(other)
+        return Tensor(
+            a.data + b.data,
+            _parents=(a, b),
+            _vjp=lambda g: (
+                _sum_to(g, a.shape) if a._needs else None,
+                _sum_to(g, b.shape) if b._needs else None,
+            ),
         )
-        return out
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
-        other = ensure_tensor(other)
-        a, b = self, other
+        a, b = self, ensure_tensor(other)
         return Tensor(
             a.data * b.data,
             _parents=(a, b),
-            _vjp=lambda g: (_sum_to(g * b, a.shape), _sum_to(g * a, b.shape)),
+            _vjp=lambda g: (
+                _sum_to(g * b, a.shape) if a._needs else None,
+                _sum_to(g * a, b.shape) if b._needs else None,
+            ),
         )
 
     __rmul__ = __mul__
@@ -96,10 +112,18 @@ class Tensor:
         return Tensor(-self.data, _parents=(self,), _vjp=lambda g: (-g,))
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-ensure_tensor(other))
+        a, b = self, ensure_tensor(other)
+        return Tensor(
+            a.data - b.data,
+            _parents=(a, b),
+            _vjp=lambda g: (
+                _sum_to(g, a.shape) if a._needs else None,
+                -_sum_to(g, b.shape) if b._needs else None,
+            ),
+        )
 
     def __rsub__(self, other) -> "Tensor":
-        return ensure_tensor(other) + (-self)
+        return ensure_tensor(other) - self
 
     def __truediv__(self, other) -> "Tensor":
         return self * ensure_tensor(other).recip()
@@ -117,32 +141,45 @@ class Tensor:
         )
 
     def __matmul__(self, other) -> "Tensor":
+        """Matrix product over the last two axes, broadcasting leading axes."""
         other = ensure_tensor(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ValueError("matmul supports 2-D operands only")
+        if self.ndim < 2 or other.ndim < 2:
+            raise ValueError("matmul needs operands of at least 2 dimensions")
         a, b = self, other
         return Tensor(
             a.data @ b.data,
             _parents=(a, b),
-            _vjp=lambda g: (g @ b.T, a.T @ g),
+            _vjp=lambda g: (
+                _sum_to(g @ b.mT, a.shape) if a._needs else None,
+                _sum_to(a.mT @ g, b.shape) if b._needs else None,
+            ),
         )
+
+    @property
+    def mT(self) -> "Tensor":
+        """Swap the last two axes."""
+        if self.ndim < 2:
+            raise ValueError("transpose needs at least 2 dimensions")
+        return Tensor(np.swapaxes(self.data, -1, -2), _parents=(self,), _vjp=lambda g: (g.mT,))
 
     @property
     def T(self) -> "Tensor":
         if self.ndim != 2:
             raise ValueError("transpose supports 2-D tensors only")
-        return Tensor(self.data.T, _parents=(self,), _vjp=lambda g: (g.T,))
+        return self.mT
 
     # --- elementwise functions ---
 
     def recip(self) -> "Tensor":
         out = Tensor(1.0 / self.data, _parents=(self,))
-        out._vjp = lambda g: (-g * out * out,)
+        ref = weakref.ref(out)
+        out._vjp = lambda g: (-g * ref() * ref(),)
         return out
 
     def exp(self) -> "Tensor":
         out = Tensor(np.exp(self.data), _parents=(self,))
-        out._vjp = lambda g: (g * out,)
+        ref = weakref.ref(out)
+        out._vjp = lambda g: (g * ref(),)
         return out
 
     def log(self) -> "Tensor":
@@ -151,7 +188,8 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         out = Tensor(np.tanh(self.data), _parents=(self,))
-        out._vjp = lambda g: (g * (1.0 - out * out),)
+        ref = weakref.ref(out)
+        out._vjp = lambda g: (g * (1.0 - ref() * ref()),)
         return out
 
     def clip_min_const(self, lower: float) -> "Tensor":
@@ -177,11 +215,9 @@ class Tensor:
 
     def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
         old = self.shape
-        return Tensor(
-            np.broadcast_to(self.data, shape).copy(),
-            _parents=(self,),
-            _vjp=lambda g: (_sum_to(g, old),),
-        )
+        data = np.empty(shape)
+        data[...] = self.data
+        return Tensor(data, _parents=(self,), _vjp=lambda g: (_sum_to(g, old),))
 
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         x = self
@@ -218,29 +254,30 @@ def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reduce a gradient back to ``shape`` after numpy-style broadcasting."""
     if g.shape == shape:
         return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    axes = tuple(i for i, (have, want) in enumerate(zip(g.shape, shape)) if want == 1 and have != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, want in enumerate(shape) if want == 1 and g.shape[lead + i] != 1
+    )
+    g = g.sum(axis=axes)
+    return g if g.shape == shape else g.reshape(shape)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
+    # Tensors hash by identity, so they key the sets and dicts directly.
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and p._needs:
+            if p._needs and p not in seen:
                 stack.append((p, False))
     return order
 
@@ -256,24 +293,36 @@ def grad(
     With ``create_graph=True`` the returned tensors stay attached to the
     graph, so they can be differentiated again; otherwise they are detached
     constants.  Inputs that ``output`` does not depend on get zeros.
+
+    Back-propagation runs only through nodes that depend on an input: an
+    inner-loop step asks for the gradient at the current parameters, and
+    the earlier steps those were computed from take no part in it.
     """
     if grad_output is None:
         if output.size != 1:
             raise ValueError("grad of a non-scalar output needs an explicit grad_output")
         grad_output = Tensor(np.ones(output.shape))
-    gmap: dict[int, Tensor] = {id(output): grad_output}
-    for node in reversed(_toposort(output)):
-        g = gmap.get(id(node))
-        if g is None or node._vjp is None:
+    order = _toposort(output)
+    wanted = {t for t in inputs if t._needs}
+    through: set[Tensor] = set()  # nodes with a parent whose gradient is needed
+    for node in order:  # parents come first
+        for p in node._parents:
+            if p in wanted or p in through:
+                through.add(node)
+                break
+    gmap: dict[Tensor, Tensor] = {output: grad_output}
+    for node in reversed(order):
+        g = gmap.get(node)
+        if g is None or node not in through:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent._needs:
+            if pg is None or not (parent in wanted or parent in through):
                 continue
-            held = gmap.get(id(parent))
-            gmap[id(parent)] = pg if held is None else held + pg
+            held = gmap.get(parent)
+            gmap[parent] = pg if held is None else held + pg
     results = []
     for inp in inputs:
-        g = gmap.get(id(inp))
+        g = gmap.get(inp)
         if g is None:
             g = zeros_like(inp)
         results.append(g if create_graph else g.detach())

@@ -23,11 +23,13 @@ from .autodiff import Tensor, grad
 from .surrogate import (
     SurrogateModel,
     class_weights_from_labels,
-    clone_head,
     head_logits,
     head_n_classes,
     init_head,
     sgd_step,
+    stack_heads,
+    tile_head,
+    unstack_head,
     wce_loss,
     with_new_head_output,
 )
@@ -91,12 +93,18 @@ def inner_adapt(
     alpha: float,
     steps: int,
     second_order: bool,
-) -> tuple[list[Tensor], list[float]]:
+) -> tuple[list[Tensor], list[float] | list[list[float]]]:
     """N gradient steps on the support loss, starting from ``head``.
 
     With ``second_order`` the returned parameters remain differentiable
     functions of ``head``; otherwise each step's gradient is detached and
-    only the identity paths survive.
+    only the identity paths survive.  A batched head (leading task axis)
+    takes (B, T, hidden) features, (B, T) labels and (B, C) weights; the
+    step differentiates the sum of the per-task losses, so each task gets
+    exactly its own gradient, and each entry of the returned losses is the
+    list of per-task losses instead of one float.  Every task steps in
+    lockstep, so a ``DivergenceError`` carries the earliest step at which
+    any task went non-finite.
     """
     params = list(head)
     losses = []
@@ -104,11 +112,12 @@ def inner_adapt(
         if not all(np.isfinite(p.data).all() for p in params):
             raise DivergenceError(step)
         loss = wce_loss(head_logits(support_h, params), support_y, weights)
-        if not np.isfinite(loss.item()):
+        if not np.isfinite(loss.data).all():
             raise DivergenceError(step)
-        grads = grad(loss, params, create_graph=second_order)
+        ones = Tensor(np.ones(loss.shape))
+        grads = grad(loss, params, grad_output=ones, create_graph=second_order)
         params = sgd_step(params, grads, alpha)
-        losses.append(loss.item())
+        losses.append(loss.data.tolist())
     return params, losses
 
 
@@ -118,16 +127,28 @@ def query_objective(
     tasks: Sequence[FewShotTask],
     cfg: MamlConfig,
 ) -> Tensor:
-    """Mean post-adaptation query loss over a task batch, as a graph node."""
-    total = None
+    """Mean post-adaptation query loss over a task batch, as a graph node.
+
+    Tasks of equal shape (class count, support and query size) adapt
+    together in one graph along a leading task axis, each from its own
+    copy of ``head``; groups form in order of first appearance and keep
+    their tasks in task order.
+    """
+    groups: dict[tuple[int, int, int], list[FewShotTask]] = {}
     for task in tasks:
-        sh = model.feature_map.apply(task.support_x)
-        qh = model.feature_map.apply(task.query_x)
-        w = class_weights_from_labels(task.support_y, task.n_classes)
+        key = (task.n_classes, len(task.support_y), len(task.query_y))
+        groups.setdefault(key, []).append(task)
+    total = None
+    for group in groups.values():
+        sh = np.stack([model.feature_map.apply(t.support_x) for t in group])
+        qh = np.stack([model.feature_map.apply(t.query_x) for t in group])
+        w = np.stack([class_weights_from_labels(t.support_y, t.n_classes) for t in group])
+        sy = np.stack([t.support_y for t in group])
+        qy = np.stack([t.query_y for t in group])
         adapted, _ = inner_adapt(
-            sh, task.support_y, head, w, cfg.alpha, cfg.inner_steps, cfg.order == 2
+            sh, sy, tile_head(head, len(group)), w, cfg.alpha, cfg.inner_steps, cfg.order == 2
         )
-        qloss = wce_loss(head_logits(qh, adapted), task.query_y, w)
+        qloss = wce_loss(head_logits(qh, adapted), qy, w).sum()
         total = qloss if total is None else total + qloss
     return total * (1.0 / len(tasks))
 
@@ -198,9 +219,9 @@ def meta_test_adapt(
     model: SurrogateModel,
     task: FewShotTask,
     cfg: MamlConfig,
-    head: Sequence[Tensor] | None = None,
+    head: Sequence[Tensor] | Sequence[Sequence[Tensor]] | None = None,
     redim_seed: int | np.random.SeedSequence | None = None,
-) -> AdaptResult:
+) -> AdaptResult | list[AdaptResult]:
     """Adapt a copy of the head to one unseen task and score its query set.
 
     Runs ``adapt_iters`` repetitions of the ``inner_steps``-step loop, plain
@@ -210,47 +231,60 @@ def meta_test_adapt(
     the task's class count differs from the head's, the output layer is
     redrawn from ``redim_seed`` and the first layer carries over.  The trace
     row at step k holds support and query loss after k steps.
-    """
-    base = model.head if head is None else head
-    if task.n_classes != head_n_classes(base):
-        rng = np.random.default_rng(cfg.seed if redim_seed is None else redim_seed)
-        params: list[Tensor] = with_new_head_output(base, rng, task.n_classes)
-        redimensioned = True
-    else:
-        params = clone_head(base)
-        redimensioned = False
 
+    ``head`` may also be a list of heads: they adapt side by side in one
+    stacked graph, and the result is one ``AdaptResult`` per head, in order.
+    Heads that need redrawing draw in turn from one generator.
+    """
+    single = head is None or isinstance(head[0], Tensor)
+    bases = [model.head if head is None else head] if single else list(head)
+    rng = None
+    starts = []
+    for base in bases:
+        if task.n_classes != head_n_classes(base):
+            if rng is None:
+                rng = np.random.default_rng(cfg.seed if redim_seed is None else redim_seed)
+            base = with_new_head_output(base, rng, task.n_classes)
+        starts.append(base)
+    params = stack_heads(starts)
+
+    n = len(bases)
     sh = model.feature_map.apply(task.support_x)
     qh = model.feature_map.apply(task.query_x)
-    w = class_weights_from_labels(task.support_y, task.n_classes)
+    w = np.tile(class_weights_from_labels(task.support_y, task.n_classes), (n, 1))
+    sy = np.tile(task.support_y, (n, 1))
+    qy = np.tile(task.query_y, (n, 1))
 
-    def losses(p: Sequence[Tensor]) -> tuple[float, float]:
-        s_logits = head_logits(sh, p)
-        q_logits = head_logits(qh, p)
-        if not (np.isfinite(s_logits.data).all() and np.isfinite(q_logits.data).all()):
-            return float("nan"), float("nan")
-        sup = wce_loss(s_logits, task.support_y, w).item()
-        q = wce_loss(q_logits, task.query_y, w).item()
+    def losses(p: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-head support and query loss, NaN where logits are not finite."""
+        s_logits, q_logits = head_logits(sh, p).data, head_logits(qh, p).data
+        ok = np.isfinite(s_logits).all(axis=(1, 2)) & np.isfinite(q_logits).all(axis=(1, 2))
+        sup, q = np.full(n, np.nan), np.full(n, np.nan)
+        if ok.any():
+            sup[ok] = wce_loss(s_logits[ok], sy[ok], w[ok]).data
+            q[ok] = wce_loss(q_logits[ok], qy[ok], w[ok]).data
         return sup, q
 
-    trace = [(0, *losses(params))]
+    rows = [(0, *losses(params))]
     for step in range(1, cfg.adapt_iters * cfg.inner_steps + 1):
         try:
-            params, _ = inner_adapt(sh, task.support_y, params, w, cfg.alpha, 1, False)
+            params, _ = inner_adapt(sh, sy, params, w, cfg.alpha, 1, False)
         except DivergenceError:
             raise DivergenceError(step) from None
-        trace.append((step, *losses(params)))
+        rows.append((step, *losses(params)))
 
-    final = [Tensor(p.data.copy(), requires_grad=True) for p in params]
-    query_loss = trace[-1][2]
-    acc = model.accuracy(task.query_x, task.query_y, head=final)
-    return AdaptResult(
-        head=final,
-        trace=trace,
-        query_loss=query_loss,
-        query_accuracy=acc,
-        redimensioned=redimensioned,
-    )
+    predicted = np.argmax(head_logits(qh, params).data, axis=-1)
+    results = [
+        AdaptResult(
+            head=unstack_head(params, i),
+            trace=[(k, float(sup[i]), float(q[i])) for k, sup, q in rows],
+            query_loss=float(rows[-1][2][i]),
+            query_accuracy=float(np.mean(predicted[i] == task.query_y)),
+            redimensioned=start is not base,
+        )
+        for i, (base, start) in enumerate(zip(bases, starts))
+    ]
+    return results[0] if single else results
 
 
 @dataclass
@@ -301,16 +335,20 @@ def paired_few_shot_eval(
 
     Both arms share the frozen feature map, the support data, and the exact
     adaptation procedure; only the initialization of the head differs, so
-    the paired comparison isolates what meta-training bought.
+    the paired comparison isolates what meta-training bought.  The two arms
+    of a task adapt together in one stacked ``meta_test_adapt`` call.
     """
     outcomes = []
     for task in tasks:
-        meta = meta_test_adapt(
-            model, task, cfg, redim_seed=_pair_seed(baseline_seed, task.task_id, 0)
-        )
         rng = np.random.default_rng(_pair_seed(baseline_seed, task.task_id, 1))
         random_head = init_head(rng, model.hidden, task.n_classes)
-        rand = meta_test_adapt(model, task, cfg, head=random_head)
+        meta, rand = meta_test_adapt(
+            model,
+            task,
+            cfg,
+            head=[model.head, random_head],
+            redim_seed=_pair_seed(baseline_seed, task.task_id, 0),
+        )
         outcomes.append(
             PairedOutcome(
                 task_id=task.task_id,

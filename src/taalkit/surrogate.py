@@ -17,6 +17,7 @@ ones.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,7 +72,11 @@ def init_head(rng: np.random.Generator, hidden: int, n_classes: int) -> list[Ten
 
 
 def head_logits(features, params: Sequence[Tensor]) -> Tensor:
-    """Head forward pass on (T, hidden) features (array or tensor)."""
+    """Head forward pass on (T, hidden) features (array or tensor).
+
+    A batched head (see `stack_heads`) maps (B, T, hidden) features, or
+    (T, hidden) features shared by every head, to (B, T, n_classes).
+    """
     h = ensure_tensor(features)
     w1, b1, w2, b2 = params
     z = (h @ w1 + b1).tanh()
@@ -82,9 +87,31 @@ def head_n_classes(params: Sequence[Tensor]) -> int:
     return params[2].shape[1]
 
 
-def clone_head(params: Sequence[Tensor]) -> list[Tensor]:
-    """Detached leaf copies, ready to be adapted independently."""
-    return [Tensor(p.data.copy(), requires_grad=True) for p in params]
+def stack_heads(heads: Sequence[Sequence[Tensor]]) -> list[Tensor]:
+    """Leaf batch of equally shaped heads along a leading task axis.
+
+    Weights become (B, n_in, n_out) and biases (B, 1, n_out), so that every
+    head layer broadcasts against (B, T, n_in) activations.
+    """
+    return [
+        Tensor(np.stack([np.atleast_2d(h[i].data) for h in heads]), requires_grad=True)
+        for i in range(len(heads[0]))
+    ]
+
+
+def tile_head(params: Sequence[Tensor], n: int) -> list[Tensor]:
+    """``n`` copies of one head in the `stack_heads` layout, as graph nodes:
+    each copy adapts on its own, and gradients flow back to ``params``."""
+    return [p.broadcast_to((n,) + (1,) * (2 - p.ndim) + p.shape) for p in params]
+
+
+def unstack_head(params: Sequence[Tensor], i: int) -> list[Tensor]:
+    """Head ``i`` of a `stack_heads` batch as fresh leaves; the biases (odd
+    positions of [W1, b1, W2, b2]) are 1-D again."""
+    return [
+        Tensor((p.data[i, 0] if k % 2 else p.data[i]).copy(), requires_grad=True)
+        for k, p in enumerate(params)
+    ]
 
 
 def with_new_head_output(
@@ -137,29 +164,33 @@ def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
 
     The per-frame term is w_{y_t} * (-log p_t[y_t]) with log-probabilities
     taken through a stabilized log-softmax and floored at log(1e-12); the
-    result is the mean of those terms over the T frames.
+    result is the mean of those terms over the T frames.  (T, C) logits with
+    (T,) labels and (C,) weights give a scalar; a batch of (B, T, C) logits
+    with (B, T) labels and (B, C) weights gives the (B,) per-task losses.
     """
     logits = ensure_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    t, c = logits.shape
+    weights = np.asarray(weights, dtype=np.float64)
+    if logits.ndim not in (2, 3):
+        raise ValueError(f"logits must be (T, C) or (B, T, C), got {logits.shape}")
+    *lead, t, c = logits.shape
     if t == 0:
         raise ValueError("wce_loss needs at least one frame")
-    if labels.shape != (t,):
-        raise ValueError(f"labels shape {labels.shape} does not match logits rows {t}")
+    if labels.shape != (*lead, t):
+        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"labels must lie in [0, {c}), got range [{labels.min()}, {labels.max()}]")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (c,):
-        raise ValueError(f"weights shape {weights.shape} does not match {c} classes")
+    if weights.shape != (*lead, c):
+        raise ValueError(f"weights shape {weights.shape} does not match logits {logits.shape}")
     if not np.isfinite(logits.data).all():
         raise ValueError("non-finite values in logits")
     if not np.isfinite(weights).all():
         raise ValueError("non-finite values in class weights")
-    onehot = np.zeros((t, c))
-    onehot[np.arange(t), labels] = 1.0
-    logp = log_softmax(logits, axis=1).clip_min_const(float(np.log(PROB_FLOOR)))
-    picked = (logp * Tensor(onehot)).sum(axis=1)
-    return -(picked * Tensor(weights[labels])).sum() / t
+    onehot = np.eye(c)[labels]
+    logp = log_softmax(logits, axis=-1).clip_min_const(float(np.log(PROB_FLOOR)))
+    picked = (logp * Tensor(onehot)).sum(axis=-1)
+    frame_weights = np.take_along_axis(weights, labels, axis=-1)
+    return (picked * Tensor(frame_weights)).sum(axis=-1) * (-1.0 / t)
 
 
 def sgd_step(params: Sequence[Tensor], grads: Sequence[Tensor], lr: float) -> list[Tensor]:
@@ -239,18 +270,32 @@ def save_model(path: str, model: SurrogateModel) -> None:
 
 
 def load_model(path: str) -> SurrogateModel:
+    """Read a `save_model` file; any malformed or inconsistent file raises
+    ``ValueError``: a wrong format or version, missing keys, other array
+    names or shapes than the dimensions imply, and missing or trailing bytes."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != MODEL_FORMAT:
-            raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-        arrays = []
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"truncated model file: {path}")
-            arrays.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
+        line, _, body = fh.read().partition(b"\n")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise ValueError(f"not a {MODEL_FORMAT} file: {path}: {e}") from None
+    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+        raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
+    if header.get("version") != MODEL_VERSION:
+        raise ValueError(f"unsupported model version {header.get('version')!r}: {path}")
+    dims = [header.get(key) for key in ("n_features", "hidden", "n_classes")]
+    if not all(type(d) is int and d >= 1 for d in dims):
+        raise ValueError(f"n_features, hidden and n_classes must be positive integers: {path}")
+    f, h, c = dims
+    shapes = [(f, h), (h,), (h, h), (h,), (h, c), (c,)]
+    expected = [{"name": n, "shape": list(s)} for n, s in zip(_ARRAY_NAMES, shapes)]
+    if header.get("arrays") != expected:
+        raise ValueError(f"arrays must be {expected}: {path}")
+    sizes = [math.prod(s) for s in shapes]
+    if len(body) != 8 * sum(sizes):
+        raise ValueError(f"model file holds {len(body)} data bytes, expected {8 * sum(sizes)}: {path}")
+    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
     fmap = FrozenFeatureMap(weight=arrays[0], bias=arrays[1])
     head = [Tensor(a, requires_grad=True) for a in arrays[2:]]
     return SurrogateModel(feature_map=fmap, head=head)

@@ -1,5 +1,8 @@
 """Tests for the reverse-mode autodiff engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,35 @@ class TestFirstOrderGradients:
         (g,) = grad(out, [wt])
         assert np.allclose(g.data, central_difference(f_np, w0), rtol=1e-6, atol=1e-8)
 
+    def test_batched_matmul_gradients_match_fd(self):
+        # A (2, 3, 4) stack against one shared (4, 5) matrix: the gradient
+        # of the shared operand sums over the task axis.
+        rng = np.random.default_rng(3)
+        a0, b0 = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
+
+        def f_np(a, b):
+            return float(((Tensor(a) @ Tensor(b)).tanh()).sum().data)
+
+        at, bt = t(a0), t(b0)
+        out = (at @ bt).tanh().sum()
+        assert (at @ bt).shape == (2, 3, 5)
+        ga, gb = grad(out, [at, bt])
+        assert ga.shape == a0.shape and gb.shape == b0.shape
+        assert np.allclose(ga.data, central_difference(lambda a: f_np(a, b0), a0), rtol=1e-6, atol=1e-8)
+        assert np.allclose(gb.data, central_difference(lambda b: f_np(a0, b), b0), rtol=1e-6, atol=1e-8)
+
+    def test_batched_matmul_slices_equal_2d(self):
+        rng = np.random.default_rng(4)
+        a0, b0 = rng.normal(size=(3, 6, 5)), rng.normal(size=(3, 5, 2))
+        at, bt = t(a0), t(b0)
+        ga, gb = grad(((at @ bt).tanh()).sum(), [at, bt])
+        for i in range(3):
+            ai, bi = t(a0[i]), t(b0[i])
+            ref_a, ref_b = grad(((ai @ bi).tanh()).sum(), [ai, bi])
+            assert np.array_equal((at @ bt).data[i], (ai @ bi).data)
+            assert np.array_equal(ga.data[i], ref_a.data)
+            assert np.array_equal(gb.data[i], ref_b.data)
+
     def test_shared_subexpression_accumulates(self):
         a, b = t(3.0), t(5.0)
         prod = a * b
@@ -206,6 +238,25 @@ class TestHigherOrder:
         (hv,) = grad((g1 * Tensor(v)).sum(), [xt])
         fd = central_difference(gdotv, x0)
         assert np.allclose(hv.data, fd, rtol=1e-5, atol=1e-7)
+
+
+    def test_higher_order_graph_is_freed_without_the_cycle_collector(self):
+        # The backward rules of exp, tanh and recip need their own output;
+        # holding it strongly would make each such node a reference cycle.
+        gc.disable()
+        try:
+            x = t([0.3, -0.7, 1.1])
+            th, ex = x.tanh(), x.exp()
+            rc = (th + 2.0).recip()
+            out = (rc * ex).sum()
+            (g,) = grad(out, [x], create_graph=True)
+            (g2,) = grad(g.sum(), [x])
+            assert np.isfinite(g2.data).all()
+            nodes = [weakref.ref(n) for n in (th, ex, rc, out)]
+            del th, ex, rc, out, g, g2
+            assert [n() is None for n in nodes] == [True] * 4
+        finally:
+            gc.enable()
 
 
 class TestSoftmaxFamily:

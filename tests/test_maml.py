@@ -8,6 +8,7 @@ import pytest
 from gradcheck import central_difference, flatten_params, param_shapes, unflatten_params
 from taalkit.autodiff import Tensor, grad
 from taalkit.maml import (
+    _pair_seed,
     DivergenceError,
     MamlConfig,
     inner_adapt,
@@ -24,9 +25,10 @@ from taalkit.surrogate import (
     head_logits,
     init_head,
     sgd_step,
+    stack_heads,
     wce_loss,
 )
-from taalkit.tasks import SyntheticTaskConfig, synth_task_source, take_tasks
+from taalkit.tasks import FewShotTask, SyntheticTaskConfig, synth_task_source, take_tasks
 
 
 def tiny_model(seed=0, n_features=4, hidden=4, n_classes=3):
@@ -134,6 +136,112 @@ class TestInnerAdapt:
         probe = sum((p * p).sum() for p in adapted)
         gs = grad(probe, head)
         assert any(np.abs(g.data).max() > 0 for g in gs)
+
+
+def reference_query_objective(model, head, tasks, cfg):
+    """The per-task loop: one graph per task, losses added in task order."""
+    total = None
+    for task in tasks:
+        sh = model.feature_map.apply(task.support_x)
+        qh = model.feature_map.apply(task.query_x)
+        w = class_weights_from_labels(task.support_y, task.n_classes)
+        adapted, _ = inner_adapt(
+            sh, task.support_y, head, w, cfg.alpha, cfg.inner_steps, cfg.order == 2
+        )
+        qloss = wce_loss(head_logits(qh, adapted), task.query_y, w)
+        total = qloss if total is None else total + qloss
+    return total * (1.0 / len(tasks))
+
+
+def relative_error(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def _resized(task, support, query):
+    return FewShotTask(
+        task.support_x[:support], task.support_y[:support],
+        task.query_x[:query], task.query_y[:query], task.n_classes, task.task_id,
+    )
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("sizes", [None, [(32, 8), (20, 8), (32, 8), (20, 5), (32, 8)]])
+    def test_equals_per_task_loop(self, order, sizes):
+        tcfg = SyntheticTaskConfig(n_features=20, support_size=32, query_size=8, seed=order)
+        model = SurrogateModel.create(20, 16, 7, np.random.default_rng(order))
+        tasks = take_tasks(synth_task_source(tcfg), 5)
+        if sizes is not None:  # three groups of equal shape, interleaved
+            tasks = [_resized(t, s, q) for t, (s, q) in zip(tasks, sizes)]
+        cfg = MamlConfig(alpha=0.3, inner_steps=3, order=order)
+        batched = query_objective(model, model.head, tasks, cfg)
+        loop = reference_query_objective(model, model.head, tasks, cfg)
+        assert relative_error(batched.data, loop.data) < 1e-12
+        gb, lb = meta_gradients(model, model.head, tasks, cfg)
+        gl = grad(loop, model.head)
+        assert lb == batched.item()
+        for a, b in zip(gb, gl):
+            assert relative_error(a.data, b.data) < 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_mixed_class_counts_fail_as_in_the_loop(self, order):
+        # A task whose class count differs from the head's cannot be scored
+        # by it; the batched objective refuses such a batch as the loop does.
+        tcfg = SyntheticTaskConfig(
+            n_features=6, class_range=(3, 5), bank_size=6, fixed_members=False,
+            include_no_stroke=False, support_size=10, query_size=4, seed=3,
+        )
+        tasks = take_tasks(synth_task_source(tcfg), 8)
+        assert len({t.n_classes for t in tasks}) > 1
+        model = SurrogateModel.create(6, 5, 5, np.random.default_rng(3))
+        cfg = MamlConfig(alpha=0.1, inner_steps=2, order=order)
+        with pytest.raises(ValueError, match="weights shape"):
+            reference_query_objective(model, model.head, tasks, cfg)
+        with pytest.raises(ValueError, match="weights shape"):
+            query_objective(model, model.head, tasks, cfg)
+        # Tasks of one class count score as in the loop, whatever their order.
+        fives = [t for t in tasks if t.n_classes == 5]
+        assert fives
+        batched = query_objective(model, model.head, fives, cfg)
+        loop = reference_query_objective(model, model.head, fives, cfg)
+        assert relative_error(batched.data, loop.data) < 1e-12
+
+    def test_inner_adapt_batch_equals_each_task(self):
+        rng = np.random.default_rng(11)
+        h = rng.normal(size=(3, 9, 5))
+        y = rng.integers(0, 3, size=(3, 9))
+        w = np.stack([class_weights_from_labels(t, 3) for t in y])
+        heads = [init_head(rng, 5, 3) for _ in range(3)]
+        out, losses = inner_adapt(h, y, stack_heads(heads), w, 0.4, 3, False)
+        assert len(losses) == 3 and all(len(step) == 3 for step in losses)
+        for i, head in enumerate(heads):
+            ref, ref_losses = inner_adapt(h[i], y[i], head, w[i], 0.4, 3, False)
+            assert [step[i] for step in losses] == ref_losses
+            for p, q in zip(out, ref):
+                assert np.array_equal(p.data[i].reshape(q.shape), q.data)
+
+    def test_batch_divergence_reports_earliest_task_step(self):
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(3, 8, 4))
+        y = rng.integers(0, 2, size=(3, 8))
+        w = np.stack([class_weights_from_labels(t, 2) for t in y])
+        # Huge class weights overflow the loss or the step of one task only.
+        w *= np.array([1.0, 10.0**306.8, 10.0**307.9])[:, None]
+        heads = [init_head(rng, 4, 2) for _ in range(3)]
+
+        def divergence_step(*args):
+            try:
+                inner_adapt(*args, 1.0, 6, False)
+            except DivergenceError as e:
+                return e.step
+            return None
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            single = [divergence_step(h[i], y[i], heads[i], w[i]) for i in range(3)]
+            assert single[0] is None and single[1] > single[2]
+            for batch in ([0, 1], [0, 1, 2], [2, 0]):
+                got = divergence_step(h[batch], y[batch], stack_heads([heads[i] for i in batch]), w[batch])
+                assert got == min(single[i] for i in batch if single[i] is not None)
 
 
 class TestMetaGradients:
@@ -352,7 +460,70 @@ class TestMetaTestAdapt:
         assert np.mean(accs) >= 0.95
 
 
+class TestStackedAdaptation:
+    @pytest.mark.parametrize("task_classes", [3, 4])
+    def test_equals_separate_calls(self, task_classes):
+        tcfg = easy_task_config(seed=25, class_range=(task_classes, task_classes))
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(25))
+        task = next(synth_task_source(tcfg))
+        cfg = MamlConfig(alpha=0.2, inner_steps=2, adapt_iters=3)
+        other = init_head(np.random.default_rng(26), 8, task.n_classes)
+        both = meta_test_adapt(model, task, cfg, head=[model.head, other], redim_seed=4)
+        separate = [
+            meta_test_adapt(model, task, cfg, redim_seed=4),
+            meta_test_adapt(model, task, cfg, head=other),
+        ]
+        assert both[0].redimensioned == (task_classes != 3)
+        assert not both[1].redimensioned
+        for a, b in zip(both, separate):
+            assert a.trace == b.trace
+            assert a.query_loss == b.query_loss
+            assert a.query_accuracy == b.query_accuracy
+            assert a.redimensioned == b.redimensioned
+            for p, q in zip(a.head, b.head):
+                assert p.shape == q.shape
+                assert np.array_equal(p.data, q.data)
+
+    def test_divergence_of_one_head_stops_the_batch(self):
+        tcfg = easy_task_config(seed=1, support_size=12, query_size=6)
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(1))
+        task = next(synth_task_source(tcfg))
+        rng = np.random.default_rng(1)
+        wild = [
+            Tensor(np.zeros((8, 8)), requires_grad=True),
+            Tensor(np.zeros(8), requires_grad=True),
+            Tensor(rng.normal(0.0, 10.0, size=(8, 3)), requires_grad=True),
+            Tensor(np.zeros(3), requires_grad=True),
+        ]
+        cfg = MamlConfig(alpha=1e308, inner_steps=1, adapt_iters=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                meta_test_adapt(model, task, cfg, head=[model.head, wild])
+        assert exc.value.step == 2
+
+
+def reference_paired_eval(model, tasks, cfg, baseline_seed):
+    """Both arms adapted by separate single-head calls."""
+    rows = []
+    for task in tasks:
+        meta = meta_test_adapt(model, task, cfg, redim_seed=_pair_seed(baseline_seed, task.task_id, 0))
+        rng = np.random.default_rng(_pair_seed(baseline_seed, task.task_id, 1))
+        rand = meta_test_adapt(model, task, cfg, head=init_head(rng, model.hidden, task.n_classes))
+        rows.append((meta.query_loss, rand.query_loss, meta.query_accuracy, rand.query_accuracy))
+    return rows
+
+
 class TestPairedEval:
+    @pytest.mark.parametrize("class_range", [(3, 3), (2, 4)])
+    def test_equals_separate_arms(self, class_range):
+        tcfg = easy_task_config(seed=27, class_range=class_range, fixed_members=False)
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(27))
+        tasks = take_tasks(synth_task_source(tcfg), 6)
+        cfg = MamlConfig(alpha=0.2, inner_steps=2, adapt_iters=3)
+        got = paired_few_shot_eval(model, tasks, cfg, baseline_seed=3)
+        rows = [(o.meta_loss, o.random_loss, o.meta_accuracy, o.random_accuracy) for o in got.outcomes]
+        assert rows == reference_paired_eval(model, tasks, cfg, baseline_seed=3)
+
     def test_structure_and_determinism(self):
         tcfg = easy_task_config(seed=23)
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(23))

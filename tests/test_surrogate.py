@@ -1,5 +1,7 @@
 """Tests for the surrogate classifier, weighted loss, and SGD helpers."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,15 @@ from taalkit.surrogate import (
     SurrogateModel,
     class_weights,
     class_weights_from_labels,
-    clone_head,
     head_logits,
     head_n_classes,
     init_head,
     load_model,
     save_model,
     sgd_step,
+    stack_heads,
+    tile_head,
+    unstack_head,
     wce_loss,
     with_new_head_output,
 )
@@ -64,11 +68,49 @@ class TestHead:
         ref = np.tanh(h @ w1 + b1) @ w2 + b2
         assert np.allclose(out, ref)
 
-    def test_clone_is_independent(self):
-        params = init_head(np.random.default_rng(2), 4, 2)
-        cloned = clone_head(params)
-        cloned[0].data[0, 0] += 100.0
-        assert params[0].data[0, 0] != cloned[0].data[0, 0]
+    def test_stack_and_unstack_copy(self):
+        rng = np.random.default_rng(2)
+        heads = [init_head(rng, 4, 2), init_head(rng, 4, 2)]
+        for p in heads[1]:
+            p.data[...] = rng.normal(size=p.shape)
+        stacked = stack_heads(heads)
+        assert [p.shape for p in stacked] == [(2, 4, 4), (2, 1, 4), (2, 4, 2), (2, 1, 2)]
+        assert all(p.requires_grad for p in stacked)
+        for i, head in enumerate(heads):
+            back = unstack_head(stacked, i)
+            for p, q in zip(head, back):
+                assert q.shape == p.shape
+                assert np.array_equal(p.data, q.data)
+            back[0].data[0, 0] += 100.0
+            stacked[2].data[i, 0, 0] += 100.0
+            assert head[0].data[0, 0] != back[0].data[0, 0]
+            assert head[2].data[0, 0] != stacked[2].data[i, 0, 0]
+
+    def test_batched_forward_equals_each_head(self):
+        rng = np.random.default_rng(5)
+        heads = [init_head(rng, 6, 3) for _ in range(3)]
+        for head in heads:
+            head[1].data[...] = rng.normal(size=6)
+        shared = rng.normal(size=(5, 6))
+        per_task = rng.normal(size=(3, 5, 6))
+        stacked = stack_heads(heads)
+        both = head_logits(shared, stacked).data
+        each = head_logits(per_task, stacked).data
+        assert both.shape == each.shape == (3, 5, 3)
+        for i, head in enumerate(heads):
+            assert np.array_equal(both[i], head_logits(shared, head).data)
+            assert np.array_equal(each[i], head_logits(per_task[i], head).data)
+
+    def test_tiled_head_gradients_reach_the_shared_head(self):
+        rng = np.random.default_rng(6)
+        head = init_head(rng, 4, 3)
+        h = rng.normal(size=(2, 5, 4))
+        tiled = tile_head(head, 2)
+        assert [p.shape for p in tiled] == [(2, 4, 4), (2, 1, 4), (2, 4, 3), (2, 1, 3)]
+        shared = grad(head_logits(h, tiled).tanh().sum(), head)
+        loop = [grad(head_logits(h[i], head).tanh().sum(), head) for i in range(2)]
+        for g, g0, g1 in zip(shared, *loop):
+            assert np.allclose(g.data, g0.data + g1.data, rtol=1e-12, atol=1e-15)
 
     def test_with_new_head_output(self):
         params = init_head(np.random.default_rng(3), 4, 2)
@@ -208,6 +250,31 @@ class TestWceLoss:
         assert rel < 1e-6
 
 
+    def test_batched_equals_each_task(self):
+        rng = np.random.default_rng(8)
+        logits = rng.normal(scale=3.0, size=(3, 7, 4))
+        labels = rng.integers(0, 4, size=(3, 7))
+        weights = np.stack([class_weights_from_labels(y, 4) for y in labels])
+        zt = Tensor(logits, requires_grad=True)
+        batched = wce_loss(zt, labels, weights)
+        assert batched.shape == (3,)
+        (g,) = grad(batched, [zt], grad_output=Tensor(np.ones(3)))
+        for i in range(3):
+            zi = Tensor(logits[i], requires_grad=True)
+            single = wce_loss(zi, labels[i], weights[i])
+            assert single.shape == ()
+            assert batched.data[i] == single.item()
+            assert np.array_equal(g.data[i], grad(single, [zi])[0].data)
+
+    def test_batched_shape_validation(self):
+        with pytest.raises(ValueError):
+            wce_loss(np.zeros((2, 3, 4)), np.zeros(3, dtype=int), np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            wce_loss(np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=int), np.ones(4))
+        with pytest.raises(ValueError):
+            wce_loss(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3), dtype=int), np.ones((1, 2, 4)))
+
+
 class TestWceLossProbs:
     def test_matches_logit_form(self):
         rng = np.random.default_rng(7)
@@ -342,3 +409,107 @@ class TestSurrogateModel:
         trunc.write_bytes(blob[:-16])
         with pytest.raises(ValueError):
             load_model(str(trunc))
+
+
+def _saved_blob(tmp_path, seed=18):
+    model = SurrogateModel.create(3, 4, 2, np.random.default_rng(seed))
+    path = str(tmp_path / "model.bin")
+    save_model(path, model)
+    return model, open(path, "rb").read()
+
+
+def _arrays(model):
+    return [model.feature_map.weight, model.feature_map.bias] + [p.data for p in model.head]
+
+
+def _with_header(blob, edit):
+    line, _, body = blob.partition(b"\n")
+    header = json.loads(line)
+    edit(header)
+    return json.dumps(header).encode() + b"\n" + body
+
+
+def _drop(key):
+    return lambda h: h.pop(key)
+
+
+def _set(key, value):
+    return lambda h: h.__setitem__(key, value)
+
+
+class TestLoadModelValidation:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(_set("version", 99), id="version-99"),
+            pytest.param(_drop("version"), id="no-version"),
+            pytest.param(_drop("arrays"), id="no-arrays"),
+            pytest.param(_drop("hidden"), id="no-hidden"),
+            pytest.param(_drop("n_features"), id="no-n_features"),
+            pytest.param(_drop("n_classes"), id="no-n_classes"),
+            pytest.param(_set("hidden", 5), id="hidden-disagrees"),
+            pytest.param(_set("n_classes", 0), id="zero-classes"),
+            pytest.param(_set("n_classes", True), id="bool-classes"),
+            pytest.param(_set("n_features", "3"), id="string-features"),
+            pytest.param(_set("arrays", "w1"), id="arrays-not-a-list"),
+            pytest.param(lambda h: h["arrays"].pop(), id="five-arrays"),
+            pytest.param(lambda h: h["arrays"].reverse(), id="arrays-reordered"),
+            pytest.param(lambda h: h["arrays"][2].__setitem__("name", "w9"), id="other-name"),
+            pytest.param(lambda h: h["arrays"][4].__setitem__("shape", [2, 4]), id="other-shape"),
+            # Same byte count as the saved arrays, other layout.
+            pytest.param(lambda h: h.update(hidden=2, n_features=6), id="same-size-other-dims"),
+        ],
+    )
+    def test_inconsistent_header_rejected(self, tmp_path, edit):
+        _, blob = _saved_blob(tmp_path)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(_with_header(blob, edit))
+        with pytest.raises(ValueError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("data", [b"", b"\n", b"[1, 2]\n", b"\xff\xfe\n", b"{}"])
+    def test_not_a_model_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_model(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, blob = _saved_blob(tmp_path)
+        path = tmp_path / "long.bin"
+        path.write_bytes(blob + b"\0" * 8)
+        with pytest.raises(ValueError, match="data bytes"):
+            load_model(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["truncate", "extend", "mutate"]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        extra=st.binary(min_size=1, max_size=24),
+    )
+    def test_damaged_file_is_rejected_or_loads_unchanged(self, tmp_path_factory, kind, where, extra):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        model, blob = _saved_blob(tmp_path)
+        body_start = blob.index(b"\n") + 1
+        pos = int(where * len(blob))
+        if kind == "truncate":
+            damaged = blob[:pos]
+        elif kind == "extend":
+            damaged = blob + extra
+        else:
+            damaged = blob[:pos] + bytes([blob[pos] ^ extra[0]]) + blob[pos + 1 :]
+        path = tmp_path / "damaged.bin"
+        path.write_bytes(damaged)
+        try:
+            back = load_model(str(path))
+        except ValueError:
+            return
+        # Only a mutated data byte can load, and then it changes one value.
+        flat = np.concatenate([a.ravel() for a in _arrays(model)])
+        back_flat = np.concatenate([a.ravel() for a in _arrays(back)])
+        assert [a.shape for a in _arrays(back)] == [a.shape for a in _arrays(model)]
+        changed = flat.view(np.uint64) != back_flat.view(np.uint64)
+        if kind == "mutate" and pos >= body_start:
+            assert not changed[np.arange(flat.size) != (pos - body_start) // 8].any()
+        else:
+            assert not changed.any()
