@@ -277,7 +277,7 @@ def load_model(path: str) -> SurrogateModel:
         line, _, body = fh.read().partition(b"\n")
     try:
         header = json.loads(line.decode("utf-8"))
-    except ValueError as e:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as e:  # bad UTF-8, bad or too deeply nested JSON
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}: {e}") from None
     if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")

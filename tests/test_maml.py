@@ -199,7 +199,7 @@ class TestBatchedObjective:
             reference_query_objective(model, model.head, tasks, cfg)
         with pytest.raises(ValueError, match="weights shape"):
             query_objective(model, model.head, tasks, cfg)
-        # Tasks of one class count score as in the loop, whatever their order.
+        # The tasks that match the head's class count score as in the loop.
         fives = [t for t in tasks if t.n_classes == 5]
         assert fives
         batched = query_objective(model, model.head, fives, cfg)

@@ -467,7 +467,9 @@ class TestLoadModelValidation:
         with pytest.raises(ValueError):
             load_model(str(path))
 
-    @pytest.mark.parametrize("data", [b"", b"\n", b"[1, 2]\n", b"\xff\xfe\n", b"{}"])
+    @pytest.mark.parametrize(
+        "data", [b"", b"\n", b"[1, 2]\n", b"\xff\xfe\n", b"{}", b"[" * 100_000 + b"\n"]
+    )
     def test_not_a_model_rejected(self, tmp_path, data):
         path = tmp_path / "bad.bin"
         path.write_bytes(data)
