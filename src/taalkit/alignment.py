@@ -140,7 +140,7 @@ class MatchResult:
     """Sliding-frame matching outcome for one tala."""
 
     sigma_nw: float
-    per_window_max: tuple[int, ...]
+    block_maxima: tuple[int, ...]
     short_input: bool = False
 
 
@@ -216,7 +216,7 @@ def sliding_match_score(
 
     if len(names) < m:
         best = int(batch_nw_scores(rotations, seq_ids[None, :]).max())
-        return MatchResult(sigma_nw=float(best), per_window_max=(best,), short_input=True)
+        return MatchResult(sigma_nw=float(best), block_maxima=(best,), short_input=True)
 
     # A void view turns each window into one sortable key, which np.unique
     # handles far faster than its axis=0 mode.
@@ -226,7 +226,7 @@ def sliding_match_score(
     scores = batch_nw_scores(rotations, distinct.view(dtype).reshape(-1, m))  # (m rotations, distinct windows)
     best_per_offset = scores.max(axis=0)[inverse]
     block_maxima = np.maximum.reduceat(best_per_offset, np.arange(0, len(best_per_offset), m))
-    return MatchResult(sigma_nw=float(np.mean(block_maxima)), per_window_max=tuple(block_maxima.tolist()))
+    return MatchResult(sigma_nw=float(np.mean(block_maxima)), block_maxima=tuple(block_maxima.tolist()))
 
 
 def identify_tala_nw(

@@ -226,16 +226,7 @@ def _load_maml_config(args: argparse.Namespace) -> MamlConfig:
         if unknown:
             raise InputError(f"--config: unknown fields {sorted(unknown)}")
         values.update(raw)
-    overrides = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "inner_steps": args.inner_steps,
-        "epochs": args.epochs,
-        "adapt_iters": args.adapt_iters,
-        "tasks_per_batch": args.tasks_per_batch,
-        "order": args.order,
-        "seed": args.seed,
-    }
+    overrides = {name: getattr(args, name) for name in CONFIG_FIELDS}
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return MamlConfig(**values)

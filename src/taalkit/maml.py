@@ -14,7 +14,7 @@ meta-training cannot touch it by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,18 +34,6 @@ from .surrogate import (
     with_new_head_output,
 )
 from .tasks import FewShotTask, take_tasks
-
-CONFIG_FIELDS = (
-    "alpha",
-    "beta",
-    "inner_steps",
-    "epochs",
-    "adapt_iters",
-    "tasks_per_batch",
-    "order",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class MamlConfig:
@@ -76,9 +64,12 @@ class MamlConfig:
             raise ValueError("order must be 1 (first-order) or 2 (exact)")
 
 
+CONFIG_FIELDS = tuple(f.name for f in fields(MamlConfig))
+
+
 class DivergenceError(RuntimeError):
-    """Adaptation produced a non-finite loss; ``step`` is the 1-based inner
-    step at which it was detected."""
+    """Adaptation went non-finite; ``step`` is the 1-based inner step at
+    which it was detected."""
 
     def __init__(self, step: int):
         super().__init__(f"adaptation diverged at inner step {step}")
@@ -93,32 +84,37 @@ def inner_adapt(
     alpha: float,
     steps: int,
     second_order: bool,
-) -> tuple[list[Tensor], list[float] | list[list[float]]]:
+) -> list[list[Tensor]]:
     """N gradient steps on the support loss, starting from ``head``.
 
-    With ``second_order`` the returned parameters remain differentiable
-    functions of ``head``; otherwise each step's gradient is detached and
-    only the identity paths survive.  A batched head (leading task axis)
-    takes (B, T, hidden) features, (B, T) labels and (B, C) weights; the
-    step differentiates the sum of the per-task losses, so each task gets
-    exactly its own gradient, and each entry of the returned losses is the
-    list of per-task losses instead of one float.  Every task steps in
-    lockstep, so a ``DivergenceError`` carries the earliest step at which
-    any task went non-finite.
+    Returns the parameter path ``[head, params after step 1, ..., params
+    after step N]``.  With ``second_order`` the path remains a
+    differentiable function of ``head``; otherwise each step's gradient is
+    detached and only the identity paths survive.  A batched head (leading
+    task axis) takes (B, T, hidden) features, (B, T) labels and (B, C)
+    weights; the step differentiates the sum of the per-task losses, so each
+    task gets exactly its own gradient.  Step k raises ``DivergenceError(k)``
+    when any task's parameters, support logits, loss or gradients are not
+    finite; every task steps in lockstep, so that is the earliest step at
+    which any task went non-finite.
     """
-    params = list(head)
-    losses = []
+    path = [list(head)]
     for step in range(1, steps + 1):
-        if not all(np.isfinite(p.data).all() for p in params):
-            raise DivergenceError(step)
-        loss = wce_loss(head_logits(support_h, params), support_y, weights)
-        if not np.isfinite(loss.data).all():
-            raise DivergenceError(step)
-        ones = Tensor(np.ones(loss.shape))
-        grads = grad(loss, params, grad_output=ones, create_graph=second_order)
-        params = sgd_step(params, grads, alpha)
-        losses.append(loss.data.tolist())
-    return params, losses
+        params = path[-1]
+        _check_finite(params, step)
+        logits = head_logits(support_h, params)
+        _check_finite([logits], step)
+        loss = wce_loss(logits, support_y, weights)
+        _check_finite([loss], step)
+        grads = grad(loss, params, grad_output=Tensor(np.ones(loss.shape)), create_graph=second_order)
+        _check_finite(grads, step)
+        path.append(sgd_step(params, grads, alpha))
+    return path
+
+
+def _check_finite(tensors: Sequence[Tensor], step: int) -> None:
+    if not all(np.isfinite(t.data).all() for t in tensors):
+        raise DivergenceError(step)
 
 
 def query_objective(
@@ -129,26 +125,30 @@ def query_objective(
 ) -> Tensor:
     """Mean post-adaptation query loss over a task batch, as a graph node.
 
-    Tasks of equal shape (class count, support and query size) adapt
-    together in one graph along a leading task axis, each from its own
-    copy of ``head``; groups form in order of first appearance and keep
-    their tasks in task order.
+    Every task must have the head's class count (``ValueError`` otherwise).
+    Tasks of equal support and query size adapt together in one graph along
+    a leading task axis, each from its own copy of ``head``; groups form in
+    order of first appearance and keep their tasks in task order.
     """
-    groups: dict[tuple[int, int, int], list[FewShotTask]] = {}
+    n_classes = head_n_classes(head)
+    groups: dict[tuple[int, int], list[FewShotTask]] = {}
     for task in tasks:
-        key = (task.n_classes, len(task.support_y), len(task.query_y))
-        groups.setdefault(key, []).append(task)
+        if task.n_classes != n_classes:
+            raise ValueError(
+                f"task {task.task_id} has {task.n_classes} classes but the head has {n_classes}"
+            )
+        groups.setdefault((len(task.support_y), len(task.query_y)), []).append(task)
     total = None
     for group in groups.values():
         sh = np.stack([model.feature_map.apply(t.support_x) for t in group])
         qh = np.stack([model.feature_map.apply(t.query_x) for t in group])
-        w = np.stack([class_weights_from_labels(t.support_y, t.n_classes) for t in group])
+        w = np.stack([class_weights_from_labels(t.support_y, n_classes) for t in group])
         sy = np.stack([t.support_y for t in group])
         qy = np.stack([t.query_y for t in group])
-        adapted, _ = inner_adapt(
+        path = inner_adapt(
             sh, sy, tile_head(head, len(group)), w, cfg.alpha, cfg.inner_steps, cfg.order == 2
         )
-        qloss = wce_loss(head_logits(qh, adapted), qy, w).sum()
+        qloss = wce_loss(head_logits(qh, path[-1]), qy, w).sum()
         total = qloss if total is None else total + qloss
     return total * (1.0 / len(tasks))
 
@@ -224,13 +224,14 @@ def meta_test_adapt(
 ) -> AdaptResult | list[AdaptResult]:
     """Adapt a copy of the head to one unseen task and score its query set.
 
-    Runs ``adapt_iters`` repetitions of the ``inner_steps``-step loop, plain
-    first-order descent (there is no outer objective at test time), one
-    ``inner_adapt`` step at a time so each step can be traced; a
-    ``DivergenceError`` carries the running step number.  When
+    Runs ``adapt_iters`` repetitions of the ``inner_steps``-step loop as one
+    first-order ``inner_adapt`` run (there is no outer objective at test
+    time), so a ``DivergenceError`` carries the running step number.  When
     the task's class count differs from the head's, the output layer is
     redrawn from ``redim_seed`` and the first layer carries over.  The trace
-    row at step k holds support and query loss after k steps.
+    row at step k holds support and query loss after k steps, NaN where
+    that head's logits are not finite; every head on the path is scored in
+    one stacked forward pass.
 
     ``head`` may also be a list of heads: they adapt side by side in one
     stacked graph, and the result is one ``AdaptResult`` per head, in order.
@@ -246,39 +247,33 @@ def meta_test_adapt(
                 rng = np.random.default_rng(cfg.seed if redim_seed is None else redim_seed)
             base = with_new_head_output(base, rng, task.n_classes)
         starts.append(base)
-    params = stack_heads(starts)
 
     n = len(bases)
     sh = model.feature_map.apply(task.support_x)
     qh = model.feature_map.apply(task.query_x)
-    w = np.tile(class_weights_from_labels(task.support_y, task.n_classes), (n, 1))
-    sy = np.tile(task.support_y, (n, 1))
-    qy = np.tile(task.query_y, (n, 1))
+    w = class_weights_from_labels(task.support_y, task.n_classes)
+    path = inner_adapt(
+        sh, np.tile(task.support_y, (n, 1)), stack_heads(starts), np.tile(w, (n, 1)),
+        cfg.alpha, cfg.adapt_iters * cfg.inner_steps, False,
+    )
 
-    def losses(p: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
-        """Per-head support and query loss, NaN where logits are not finite."""
-        s_logits, q_logits = head_logits(sh, p).data, head_logits(qh, p).data
-        ok = np.isfinite(s_logits).all(axis=(1, 2)) & np.isfinite(q_logits).all(axis=(1, 2))
-        sup, q = np.full(n, np.nan), np.full(n, np.nan)
-        if ok.any():
-            sup[ok] = wce_loss(s_logits[ok], sy[ok], w[ok]).data
-            q[ok] = wce_loss(q_logits[ok], qy[ok], w[ok]).data
-        return sup, q
-
-    rows = [(0, *losses(params))]
-    for step in range(1, cfg.adapt_iters * cfg.inner_steps + 1):
-        try:
-            params, _ = inner_adapt(sh, sy, params, w, cfg.alpha, 1, False)
-        except DivergenceError:
-            raise DivergenceError(step) from None
-        rows.append((step, *losses(params)))
-
-    predicted = np.argmax(head_logits(qh, params).data, axis=-1)
+    # Row k * n + i of the stacked pass is head i after k steps.
+    trace_heads = [Tensor(np.concatenate([p.data for p in layer])) for layer in zip(*path)]
+    s_logits, q_logits = head_logits(sh, trace_heads).data, head_logits(qh, trace_heads).data
+    ok = np.isfinite(s_logits).all(axis=(1, 2)) & np.isfinite(q_logits).all(axis=(1, 2))
+    sup, q = np.full(len(ok), np.nan), np.full(len(ok), np.nan)
+    if ok.any():
+        m = int(ok.sum())
+        sw = np.tile(w, (m, 1))
+        sup[ok] = wce_loss(s_logits[ok], np.tile(task.support_y, (m, 1)), sw).data
+        q[ok] = wce_loss(q_logits[ok], np.tile(task.query_y, (m, 1)), sw).data
+    sup, q = sup.reshape(len(path), n), q.reshape(len(path), n)
+    predicted = np.argmax(q_logits[-n:], axis=-1)
     results = [
         AdaptResult(
-            head=unstack_head(params, i),
-            trace=[(k, float(sup[i]), float(q[i])) for k, sup, q in rows],
-            query_loss=float(rows[-1][2][i]),
+            head=unstack_head(path[-1], i),
+            trace=[(k, float(sup[k, i]), float(q[k, i])) for k in range(len(path))],
+            query_loss=float(q[-1, i]),
             query_accuracy=float(np.mean(predicted[i] == task.query_y)),
             redimensioned=start is not base,
         )

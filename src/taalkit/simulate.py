@@ -43,7 +43,6 @@ class PerformanceSpec:
     tempo_bpm: float = DEFAULT_TEMPO_BPM
     start_offset: int = 0
     gharana_variant: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.cycles < 1:

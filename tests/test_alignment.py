@@ -306,7 +306,7 @@ class TestSlidingMatch:
         names = TINTAL.theka_names * 2
         r = sliding_match_score(names, TINTAL)
         assert r.sigma_nw == 16.0
-        assert r.per_window_max == (16, 16)
+        assert r.block_maxima == (16, 16)
         assert not r.short_input
 
     def test_two_jhaptal_cycles(self):
@@ -317,7 +317,7 @@ class TestSlidingMatch:
     def test_sigma_is_mean_of_window_maxima(self):
         perf = generate_performance(PerformanceSpec(tala="Ektal", cycles=3, start_offset=4))
         r = sliding_match_score(perf.names, get_tala("Ektal"))
-        assert r.sigma_nw == pytest.approx(float(np.mean(r.per_window_max)))
+        assert r.sigma_nw == pytest.approx(float(np.mean(r.block_maxima)))
 
     def test_cross_tala_scores_lower(self):
         rupak_perf = generate_performance(PerformanceSpec(tala="Rupak", cycles=3))
@@ -328,7 +328,7 @@ class TestSlidingMatch:
     def test_short_input_flagged(self):
         r = sliding_match_score(["Dha", "Dhin", "Dhin"], TINTAL)
         assert r.short_input
-        assert len(r.per_window_max) == 1
+        assert len(r.block_maxima) == 1
 
     def test_gharana_equivalence_toggle(self):
         variant = generate_performance(
@@ -349,14 +349,14 @@ class TestSlidingMatchOracle:
         r = sliding_match_score(names, tala, gharana_equiv=gharana_equiv)
         sigma, maxima, short = reference_sliding_match_score(names, tala, gharana_equiv)
         assert r.sigma_nw == sigma
-        assert r.per_window_max == maxima
+        assert r.block_maxima == maxima
         assert r.short_input == short
 
     def test_same_name_different_theka(self):
         names = IMPOSTOR_TINTAL.theka_names * 3
         for tala in (TINTAL, IMPOSTOR_TINTAL, TINTAL):
             r = sliding_match_score(names, tala)
-            assert (r.sigma_nw, r.per_window_max, r.short_input) == reference_sliding_match_score(names, tala)
+            assert (r.sigma_nw, r.block_maxima, r.short_input) == reference_sliding_match_score(names, tala)
         assert sliding_match_score(names, IMPOSTOR_TINTAL).sigma_nw == 8.0
 
 

@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import taalkit.maml
 from gradcheck import central_difference, flatten_params, param_shapes, unflatten_params
 from taalkit.autodiff import Tensor, grad
 from taalkit.maml import (
+    AdaptResult,
     _pair_seed,
     DivergenceError,
     MamlConfig,
@@ -23,10 +25,13 @@ from taalkit.surrogate import (
     SurrogateModel,
     class_weights_from_labels,
     head_logits,
+    head_n_classes,
     init_head,
     sgd_step,
     stack_heads,
+    unstack_head,
     wce_loss,
+    with_new_head_output,
 )
 from taalkit.tasks import FewShotTask, SyntheticTaskConfig, synth_task_source, take_tasks
 
@@ -79,6 +84,12 @@ class TestConfig:
         assert cfg.beta == 0.001  # untouched
 
 
+def path_losses(h, y, w, path):
+    """Support loss before each step of an ``inner_adapt`` path: floats for
+    one head, per-task lists for a batch."""
+    return [wce_loss(head_logits(h, p), y, w).data.tolist() for p in path[:-1]]
+
+
 class TestInnerAdapt:
     def _setup(self, seed=0, n=8, hidden=4, classes=2):
         rng = np.random.default_rng(seed)
@@ -90,7 +101,8 @@ class TestInnerAdapt:
 
     def test_zero_alpha_is_identity(self):
         h, y, head, w = self._setup()
-        out, losses = inner_adapt(h, y, head, w, alpha=0.0, steps=3, second_order=False)
+        path = inner_adapt(h, y, head, w, alpha=0.0, steps=3, second_order=False)
+        out, losses = path[-1], path_losses(h, y, w, path)
         for p, q in zip(head, out):
             assert np.array_equal(p.data, q.data)
         assert len(losses) == 3
@@ -98,7 +110,8 @@ class TestInnerAdapt:
 
     def test_single_step_equals_manual_sgd(self):
         h, y, head, w = self._setup(seed=1)
-        out, losses = inner_adapt(h, y, head, w, alpha=0.05, steps=1, second_order=False)
+        path = inner_adapt(h, y, head, w, alpha=0.05, steps=1, second_order=False)
+        out, losses = path[-1], path_losses(h, y, w, path)
         loss = wce_loss(head_logits(h, head), y, w)
         manual = sgd_step(head, grad(loss, head), 0.05)
         for p, q in zip(manual, out):
@@ -107,14 +120,16 @@ class TestInnerAdapt:
 
     def test_loss_decreases(self):
         h, y, head, w = self._setup(seed=2, n=16)
-        out, losses = inner_adapt(h, y, head, w, alpha=0.5, steps=5, second_order=False)
+        path = inner_adapt(h, y, head, w, alpha=0.5, steps=5, second_order=False)
+        out, losses = path[-1], path_losses(h, y, w, path)
         final = wce_loss(head_logits(h, out), y, w).item()
         assert final < losses[0]
         assert losses == sorted(losses, reverse=True)
 
     def test_zero_steps(self):
         h, y, head, w = self._setup()
-        out, losses = inner_adapt(h, y, head, w, alpha=0.1, steps=0, second_order=True)
+        path = inner_adapt(h, y, head, w, alpha=0.1, steps=0, second_order=True)
+        out, losses = path[-1], path_losses(h, y, w, path)
         assert losses == []
         for p, q in zip(head, out):
             assert np.array_equal(p.data, q.data)
@@ -130,9 +145,37 @@ class TestInnerAdapt:
         assert exc.value.step >= 1
         assert "diverged at inner step" in str(exc.value)
 
+    @staticmethod
+    def _saturated_head(rng, h):
+        # The tanh layer saturates and the finite output layer sums to
+        # beyond the float64 range, so the support logits overflow.
+        head = init_head(rng, 4, 2)
+        head[0] = Tensor(np.abs(head[0].data) * 100, requires_grad=True)
+        head[2] = Tensor(np.full((4, 2), 1e308), requires_grad=True)
+        return h, head
+
+    @staticmethod
+    def _steep_head(rng, h):
+        # Zero logits give a finite loss, but the gradient of the first
+        # layer sums frames of order 1e308 and overflows.
+        w2 = np.tile([1.7e308, -1.7e308], (4, 1))
+        head = [Tensor(a, requires_grad=True) for a in (np.zeros((4, 4)), np.zeros(4), w2, np.zeros(2))]
+        return 3 * rng.normal(size=h.shape), head
+
+    @pytest.mark.parametrize("make_head", ["_saturated_head", "_steep_head"])
+    def test_overflow_in_logits_or_gradient_is_a_divergence(self, make_head):
+        h, _, _, _ = self._setup(seed=5)
+        h, head = getattr(self, make_head)(np.random.default_rng(5), h)
+        y = np.arange(8) % 2
+        w = class_weights_from_labels(y, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                inner_adapt(h, y, head, w, alpha=0.1, steps=3, second_order=False)
+        assert exc.value.step == 1
+
     def test_second_order_keeps_graph(self):
         h, y, head, w = self._setup(seed=4)
-        adapted, _ = inner_adapt(h, y, head, w, alpha=0.1, steps=2, second_order=True)
+        adapted = inner_adapt(h, y, head, w, alpha=0.1, steps=2, second_order=True)[-1]
         probe = sum((p * p).sum() for p in adapted)
         gs = grad(probe, head)
         assert any(np.abs(g.data).max() > 0 for g in gs)
@@ -145,9 +188,9 @@ def reference_query_objective(model, head, tasks, cfg):
         sh = model.feature_map.apply(task.support_x)
         qh = model.feature_map.apply(task.query_x)
         w = class_weights_from_labels(task.support_y, task.n_classes)
-        adapted, _ = inner_adapt(
+        adapted = inner_adapt(
             sh, task.support_y, head, w, cfg.alpha, cfg.inner_steps, cfg.order == 2
-        )
+        )[-1]
         qloss = wce_loss(head_logits(qh, adapted), task.query_y, w)
         total = qloss if total is None else total + qloss
     return total * (1.0 / len(tasks))
@@ -197,7 +240,7 @@ class TestBatchedObjective:
         cfg = MamlConfig(alpha=0.1, inner_steps=2, order=order)
         with pytest.raises(ValueError, match="weights shape"):
             reference_query_objective(model, model.head, tasks, cfg)
-        with pytest.raises(ValueError, match="weights shape"):
+        with pytest.raises(ValueError, match=r"task \d+ has [34] classes but the head has 5"):
             query_objective(model, model.head, tasks, cfg)
         # The tasks that match the head's class count score as in the loop.
         fives = [t for t in tasks if t.n_classes == 5]
@@ -212,10 +255,12 @@ class TestBatchedObjective:
         y = rng.integers(0, 3, size=(3, 9))
         w = np.stack([class_weights_from_labels(t, 3) for t in y])
         heads = [init_head(rng, 5, 3) for _ in range(3)]
-        out, losses = inner_adapt(h, y, stack_heads(heads), w, 0.4, 3, False)
+        path = inner_adapt(h, y, stack_heads(heads), w, 0.4, 3, False)
+        out, losses = path[-1], path_losses(h, y, w, path)
         assert len(losses) == 3 and all(len(step) == 3 for step in losses)
         for i, head in enumerate(heads):
-            ref, ref_losses = inner_adapt(h[i], y[i], head, w[i], 0.4, 3, False)
+            ref_path = inner_adapt(h[i], y[i], head, w[i], 0.4, 3, False)
+            ref, ref_losses = ref_path[-1], path_losses(h[i], y[i], w[i], ref_path)
             assert [step[i] for step in losses] == ref_losses
             for p, q in zip(out, ref):
                 assert np.array_equal(p.data[i].reshape(q.shape), q.data)
@@ -458,6 +503,122 @@ class TestMetaTestAdapt:
         meta_train(model, stream, cfg)
         accs = [meta_test_adapt(model, t, cfg).query_accuracy for t in take_tasks(stream, 3)]
         assert np.mean(accs) >= 0.95
+
+
+def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
+    """Test-time adaptation one ``inner_adapt`` step at a time, scoring the
+    trace after each step with its own forward passes."""
+    single = head is None or isinstance(head[0], Tensor)
+    bases = [model.head if head is None else head] if single else list(head)
+    rng = None
+    starts = []
+    for base in bases:
+        if task.n_classes != head_n_classes(base):
+            if rng is None:
+                rng = np.random.default_rng(cfg.seed if redim_seed is None else redim_seed)
+            base = with_new_head_output(base, rng, task.n_classes)
+        starts.append(base)
+    params = stack_heads(starts)
+
+    n = len(bases)
+    sh = model.feature_map.apply(task.support_x)
+    qh = model.feature_map.apply(task.query_x)
+    w = np.tile(class_weights_from_labels(task.support_y, task.n_classes), (n, 1))
+    sy = np.tile(task.support_y, (n, 1))
+    qy = np.tile(task.query_y, (n, 1))
+
+    def losses(p):
+        s_logits, q_logits = head_logits(sh, p).data, head_logits(qh, p).data
+        ok = np.isfinite(s_logits).all(axis=(1, 2)) & np.isfinite(q_logits).all(axis=(1, 2))
+        sup, q = np.full(n, np.nan), np.full(n, np.nan)
+        if ok.any():
+            sup[ok] = wce_loss(s_logits[ok], sy[ok], w[ok]).data
+            q[ok] = wce_loss(q_logits[ok], qy[ok], w[ok]).data
+        return sup, q
+
+    rows = [(0, *losses(params))]
+    for step in range(1, cfg.adapt_iters * cfg.inner_steps + 1):
+        try:
+            params = inner_adapt(sh, sy, params, w, cfg.alpha, 1, False)[-1]
+        except DivergenceError:
+            raise DivergenceError(step) from None
+        rows.append((step, *losses(params)))
+
+    predicted = np.argmax(head_logits(qh, params).data, axis=-1)
+    results = [
+        AdaptResult(
+            head=unstack_head(params, i),
+            trace=[(k, float(sup[i]), float(q[i])) for k, sup, q in rows],
+            query_loss=float(rows[-1][2][i]),
+            query_accuracy=float(np.mean(predicted[i] == task.query_y)),
+            redimensioned=start is not base,
+        )
+        for i, (base, start) in enumerate(zip(bases, starts))
+    ]
+    return results[0] if single else results
+
+
+def assert_same_adaptation(a, b):
+    """Bitwise equality of two ``AdaptResult``s, NaN included."""
+    assert np.array(a.trace).tobytes() == np.array(b.trace).tobytes()
+    assert np.float64(a.query_loss).tobytes() == np.float64(b.query_loss).tobytes()
+    assert a.query_accuracy == b.query_accuracy
+    assert a.redimensioned == b.redimensioned
+    for p, q in zip(a.head, b.head, strict=True):
+        assert p.shape == q.shape
+        assert p.data.tobytes() == q.data.tobytes()
+
+
+class TestAgainstStepwiseReference:
+    @pytest.mark.parametrize("adapt_iters, inner_steps", [(0, 3), (1, 1), (3, 2)])
+    @pytest.mark.parametrize("task_classes", [3, 4])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_equals_stepwise_reference(self, adapt_iters, inner_steps, task_classes, n_heads):
+        tcfg = easy_task_config(seed=28, class_range=(task_classes, task_classes))
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(28))
+        task = next(synth_task_source(tcfg))
+        cfg = MamlConfig(alpha=0.2, inner_steps=inner_steps, adapt_iters=adapt_iters)
+        other = init_head(np.random.default_rng(29), 8, 3)
+        head = None if n_heads == 1 else [model.head, other]
+        got = meta_test_adapt(model, task, cfg, head=head, redim_seed=4)
+        ref = reference_meta_test_adapt(model, task, cfg, head=head, redim_seed=4)
+        if n_heads == 1:
+            got, ref = [got], [ref]
+        assert len(got) == len(ref) == n_heads
+        assert got[0].redimensioned == (task_classes != 3)
+        for a, b in zip(got, ref):
+            assert len(a.trace) == adapt_iters * inner_steps + 1
+            assert_same_adaptation(a, b)
+
+    @pytest.mark.parametrize("seed", [7, 1])
+    def test_paired_eval_equals_stepwise_reference(self, seed, monkeypatch):
+        tcfg = easy_task_config(seed=seed, class_range=(2, 4), fixed_members=False)
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(seed))
+        tasks = take_tasks(synth_task_source(tcfg), 4)
+        cfg = MamlConfig(alpha=0.2, inner_steps=3, adapt_iters=2)
+        got = paired_few_shot_eval(model, tasks, cfg, baseline_seed=seed)
+        monkeypatch.setattr(taalkit.maml, "meta_test_adapt", reference_meta_test_adapt)
+        ref = paired_few_shot_eval(model, tasks, cfg, baseline_seed=seed)
+        assert got.outcomes == ref.outcomes
+
+    def test_one_inner_adapt_call_per_adaptation(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[5])
+            return inner_adapt(*args)
+
+        monkeypatch.setattr(taalkit.maml, "inner_adapt", counting)
+        tcfg = easy_task_config(seed=30)
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(30))
+        task = next(synth_task_source(tcfg))
+        cfg = MamlConfig(alpha=0.2, inner_steps=3, adapt_iters=4)
+        meta_test_adapt(model, task, cfg)
+        assert calls == [12]
+        meta_test_adapt(model, task, cfg, head=[model.head, init_head(np.random.default_rng(31), 8, 3)])
+        assert calls == [12, 12]
+        paired_few_shot_eval(model, [task, task], cfg)
+        assert calls == [12, 12, 12, 12]
 
 
 class TestStackedAdaptation:
