@@ -95,8 +95,11 @@ def inner_adapt(
     weights; the step differentiates the sum of the per-task losses, so each
     task gets exactly its own gradient.  Step k raises ``DivergenceError(k)``
     when any task's parameters, support logits, loss or gradients are not
-    finite; every task steps in lockstep, so that is the earliest step at
-    which any task went non-finite.
+    finite at its start; every task steps in lockstep, so that is the
+    earliest step at which any task went non-finite.  Parameters that step
+    k-1's update made non-finite are thus reported as step k, except after
+    the last step: non-finite final parameters raise
+    ``DivergenceError(steps)``, the step whose update made them so.
     """
     path = [list(head)]
     for step in range(1, steps + 1):
@@ -109,6 +112,8 @@ def inner_adapt(
         grads = grad(loss, params, grad_output=Tensor(np.ones(loss.shape)), create_graph=second_order)
         _check_finite(grads, step)
         path.append(sgd_step(params, grads, alpha))
+    if steps:
+        _check_finite(path[-1], steps)
     return path
 
 

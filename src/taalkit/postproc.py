@@ -13,6 +13,7 @@ one-to-one matching so no event is used twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -36,28 +37,62 @@ def within_collar(ref_time: float, est_time: float, collar: float) -> bool:
     return abs(ref_time - est_time) <= collar + COLLAR_SLACK_SECONDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FrameLabelSequence:
-    """Per-frame class labels at a fixed hop, as indices into a vocabulary."""
+    """Per-frame class labels at a fixed hop, as indices into a vocabulary.
 
-    labels: tuple[int, ...]
-    hop_seconds: float = DEFAULT_HOP_SECONDS
-    vocabulary: tuple[StrokeLabel, ...] = ()
+    The labels are held as one read-only int64 array, ``label_array``;
+    ``labels`` reads them as a tuple of ints.  An integer array or sequence
+    is converted in one step and checked against the vocabulary with one
+    min and one max; any other input is converted element by element with
+    ``int()``, so floats truncate and bools count as 0 and 1.  Label ids
+    must fit in int64 (``OverflowError`` otherwise).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
-        if not self.labels:
+    label_array: np.ndarray
+    hop_seconds: float
+    vocabulary: tuple[StrokeLabel, ...]
+
+    def __init__(
+        self,
+        labels: Sequence[int] | np.ndarray,
+        hop_seconds: float = DEFAULT_HOP_SECONDS,
+        vocabulary: tuple[StrokeLabel, ...] = (),
+    ):
+        arr = np.asarray(labels)
+        if not (arr.ndim == 1 and arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+            arr = np.array([int(v) for v in labels], dtype=object)
+        if not arr.size:
             raise ValueError("frame label sequence is empty")
-        if self.hop_seconds <= 0:
+        if hop_seconds <= 0:
             raise ValueError("hop_seconds must be positive")
-        if self.vocabulary:
-            n = len(self.vocabulary)
-            bad = [v for v in self.labels if not 0 <= v < n]
-            if bad:
-                raise ValueError(f"labels {sorted(set(bad))} outside vocabulary of size {n}")
+        n = len(vocabulary)
+        if vocabulary and (arr.min() < 0 or arr.max() >= n):
+            bad = sorted({v for v in arr.tolist() if not 0 <= v < n})
+            raise ValueError(f"labels {bad} outside vocabulary of size {n}")
+        arr = arr.astype(np.int64)
+        arr.flags.writeable = False
+        object.__setattr__(self, "label_array", arr)
+        object.__setattr__(self, "hop_seconds", hop_seconds)
+        object.__setattr__(self, "vocabulary", vocabulary)
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self.label_array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FrameLabelSequence:
+            return NotImplemented
+        return (
+            (self.hop_seconds, self.vocabulary) == (other.hop_seconds, other.vocabulary)
+            and np.array_equal(self.label_array, other.label_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.hop_seconds, self.vocabulary))
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.label_array)
 
     def name_of(self, label_id: int) -> str:
         if self.vocabulary:
@@ -70,8 +105,8 @@ class FrameLabelSequence:
                 return s.id
         return None
 
-    def replace_labels(self, labels: Sequence[int]) -> "FrameLabelSequence":
-        return FrameLabelSequence(tuple(labels), self.hop_seconds, self.vocabulary)
+    def replace_labels(self, labels: Sequence[int] | np.ndarray) -> "FrameLabelSequence":
+        return FrameLabelSequence(labels, self.hop_seconds, self.vocabulary)
 
 
 @dataclass(frozen=True)
@@ -105,19 +140,32 @@ class OnsetAnnotation:
         return tuple(seen)
 
 
+def _run_starts(labels: np.ndarray) -> np.ndarray:
+    """Index of the first frame of each maximal run of one label."""
+    return np.concatenate(([0], np.flatnonzero(labels[1:] != labels[:-1]) + 1))
+
+
 def smooth_labels(frames: FrameLabelSequence) -> FrameLabelSequence:
     """Repair isolated single-frame label flips.
 
-    One sequential left-to-right pass: an interior frame whose neighbors
-    agree with each other but not with it takes the neighbors' label.
-    Repairs propagate within the pass ([A,B,A,B,A] collapses to all A),
-    and the pass is idempotent.  First and last frames are never changed.
+    Defined as one sequential left-to-right pass: an interior frame whose
+    neighbors agree with each other but not with it takes the neighbors'
+    label.  Repairs propagate within the pass ([A,B,A,B,A] collapses to all
+    A), and the pass is idempotent.  First and last frames are never changed.
+
+    Computed in closed form: for input labels ``l`` let ``cond[i]`` mean
+    ``l[i-1] == l[i+1] != l[i]``.  The pass repairs frame i exactly when
+    ``cond[i]`` holds and frame i-1 was not repaired (a repaired frame i-1
+    already equals frame i).  That is every other frame of each run of
+    ``cond``, counted from the run's start, and it takes the value ``l[i-1]``.
     """
-    labels = list(frames.labels)
-    for i in range(1, len(labels) - 1):
-        if labels[i - 1] == labels[i + 1] and labels[i] != labels[i - 1]:
-            labels[i] = labels[i - 1]
-    return frames.replace_labels(labels)
+    ids = frames.label_array
+    cond = np.zeros(len(ids), dtype=bool)
+    cond[1:-1] = (ids[:-2] == ids[2:]) & (ids[1:-1] != ids[:-2])
+    i = np.arange(len(ids))
+    run_start = np.maximum.accumulate(np.where(cond & ~np.roll(cond, 1), i, 0))
+    repair = cond & ((i - run_start) % 2 == 0)
+    return frames.replace_labels(np.where(repair, np.roll(ids, 1), ids))
 
 
 def onsets_from_frames(frames: FrameLabelSequence) -> OnsetAnnotation:
@@ -128,14 +176,14 @@ def onsets_from_frames(frames: FrameLabelSequence) -> OnsetAnnotation:
     Transitions into No-stroke are stroke releases, not onsets, and emit
     nothing.
     """
+    ids = frames.label_array
+    starts = _run_starts(ids)
     ns = frames.no_stroke_id()
-    events = []
-    prev = None
-    for i, lab in enumerate(frames.labels):
-        if lab != prev and lab != ns:
-            events.append((i * frames.hop_seconds, frames.name_of(lab)))
-        prev = lab
-    return OnsetAnnotation(tuple(events))
+    if ns is not None:
+        starts = starts[ids[starts] != ns]
+    times = (starts * frames.hop_seconds).tolist()
+    names = [frames.name_of(lab) for lab in ids[starts].tolist()]
+    return OnsetAnnotation(tuple(zip(times, names)))
 
 
 def label_no_stroke(frames: FrameLabelSequence, envelope: Sequence[float]) -> FrameLabelSequence:
@@ -155,25 +203,18 @@ def label_no_stroke(frames: FrameLabelSequence, envelope: Sequence[float]) -> Fr
     if ns is None:
         raise ValueError(f"vocabulary has no {NO_STROKE!r} label to assign")
 
-    labels = list(frames.labels)
-    n = len(labels)
-    start = 0
-    while start < n:
-        end = start
-        while end < n and labels[end] == labels[start]:
-            end += 1
-        if labels[start] != ns:
-            peak = env[start:end].max()
-            if peak == 0.0:
-                labels[start:end] = [ns] * (end - start)
-            else:
-                thresh = NO_STROKE_AMPLITUDE_FRACTION * peak
-                for i in range(start, end):
-                    if env[i] < thresh:
-                        labels[i:end] = [ns] * (end - i)
-                        break
-        start = end
-    return frames.replace_labels(labels)
+    ids = frames.label_array
+    n = len(ids)
+    starts = _run_starts(ids)
+    lengths = np.diff(starts, append=n)
+    peak = np.maximum.reduceat(env, starts)
+    # Each run's first frame below its threshold (n where there is none);
+    # a silent run is cut at its start.  No-stroke runs may be cut too,
+    # which leaves them unchanged.
+    i = np.arange(n)
+    quiet = env < np.repeat(NO_STROKE_AMPLITUDE_FRACTION * peak, lengths)
+    cut = np.where(peak == 0.0, starts, np.minimum.reduceat(np.where(quiet, i, n), starts))
+    return frames.replace_labels(np.where(i >= np.repeat(cut, lengths), ns, ids))
 
 
 def _max_matching(ref_times: Sequence[float], est_times: Sequence[float], collar: float) -> int:
@@ -279,6 +320,11 @@ def write_onsets_csv(annotation: OnsetAnnotation, dest: str | TextIO) -> None:
 
 
 def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
+    """Read ``time_sec,label`` rows; blank lines are skipped.
+
+    A malformed row (no comma, or a time that is not a finite number) raises
+    ``ValueError`` naming its 1-based line number.
+    """
     own = isinstance(src, str)
     fh: TextIO = open(src, "r", encoding="utf-8") if own else src
     try:
@@ -286,12 +332,20 @@ def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
         if header != ONSET_CSV_HEADER:
             raise ValueError(f"expected header {ONSET_CSV_HEADER!r}, got {header!r}")
         events = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            t, lab = line.split(",", 1)
-            events.append((float(t), lab))
+            t, comma, lab = line.partition(",")
+            if not comma:
+                raise ValueError(f"line {lineno}: expected time_sec,label, got {line!r}")
+            try:
+                time = float(t)
+            except ValueError:
+                raise ValueError(f"line {lineno}: time {t!r} is not a number") from None
+            if not math.isfinite(time):
+                raise ValueError(f"line {lineno}: time {t!r} is not finite")
+            events.append((time, lab))
     finally:
         if own:
             fh.close()

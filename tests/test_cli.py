@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taalkit.cli import (
     BENCH_HEADER,
@@ -14,6 +16,7 @@ from taalkit.cli import (
 )
 from taalkit.seqio import write_stroke_tokens
 from taalkit.simulate import PerformanceSpec, generate_performance
+from taalkit.talas import TOKEN_ALIASES
 
 
 @pytest.fixture
@@ -261,6 +264,29 @@ class TestExitCodes:
         monkeypatch.setitem(cli_module._IDENTIFIERS, "nw", boom)
         assert main(["identify", ektal_file, "--method", "nw"]) == 3
         assert "internal error: ValueError" in capsys.readouterr().err
+
+    # Known strokes, spelling variants and separators, so that drawn files
+    # also reach the identifiers, not only the reader.
+    _pieces = st.sampled_from(["Dha", "Dhin", "Na", "Tin", "Ta", "Tit", "Ge", "Ke",
+                               *TOKEN_ALIASES, "#", " ", "\n", "\r\n", "\t", "\x00", "\u2028"])
+    _file_bytes = st.one_of(
+        st.binary(max_size=200),
+        st.lists(_pieces | st.text(max_size=4), max_size=60).map(lambda p: "".join(p).encode()),
+        st.lists(_pieces, max_size=60).map(lambda p: " ".join(p).encode("utf-16")),
+    )
+
+    @given(data=_file_bytes)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_stroke_file_never_exits_3(self, data, tmp_path, capsys):
+        path = tmp_path / "fuzz.txt"
+        path.write_bytes(data)
+        capsys.readouterr()
+        code = main(["identify", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_non_utf8_file_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "utf16.txt"

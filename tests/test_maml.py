@@ -469,12 +469,10 @@ class TestMetaTestAdapt:
         other = meta_test_adapt(model, task, MamlConfig(adapt_iters=0), redim_seed=6)
         assert not np.array_equal(out.head[2].data, other.head[2].data)
 
-    def test_divergence_step_counts_across_repetitions(self):
+    @staticmethod
+    def _overflowing_setup():
         # With a zero first layer and a large output layer the support
-        # gradient is big enough that one step of this size overflows the
-        # head.  The next step, the first of the second repetition, detects
-        # it and must report the running step, not its step within the
-        # repetition.
+        # gradient is big enough that one step of size 1e308 overflows W1.
         tcfg = easy_task_config(seed=1, support_size=12, query_size=6)
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(1))
         task = next(synth_task_source(tcfg))
@@ -485,12 +483,30 @@ class TestMetaTestAdapt:
             Tensor(rng.normal(0.0, 10.0, size=(8, 3)), requires_grad=True),
             Tensor(np.zeros(3), requires_grad=True),
         ]
+        return model, task, head
+
+    def test_divergence_step_counts_across_repetitions(self):
+        # Step 1 overflows the head.  The next step, the first of the second
+        # repetition, detects it and must report the running step, not its
+        # step within the repetition.
+        model, task, head = self._overflowing_setup()
         cfg = MamlConfig(alpha=1e308, inner_steps=1, adapt_iters=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as exc:
                 meta_test_adapt(model, task, cfg, head=head)
         assert exc.value.step == 2
         assert "diverged at inner step 2" in str(exc.value)
+
+    def test_divergence_in_the_last_step_is_detected(self):
+        # No later step looks at the head the only step overflowed; the
+        # final check reports that step.  The saturated tanh kept the query
+        # loss finite, so nothing else would notice the infinite W1.
+        model, task, head = self._overflowing_setup()
+        cfg = MamlConfig(alpha=1e308, inner_steps=1, adapt_iters=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                meta_test_adapt(model, task, cfg, head=head)
+        assert exc.value.step == 1
 
     def test_adaptation_on_training_distribution_reaches_high_accuracy(self):
         # Meta-train on an easy separable family, then adapt on a fresh task

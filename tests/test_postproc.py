@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from taalkit.postproc import (
     DEFAULT_COLLAR_SECONDS,
     DEFAULT_HOP_SECONDS,
     NO_STROKE_AMPLITUDE_FRACTION,
+    ONSET_CSV_HEADER,
     FrameLabelSequence,
     OnsetAnnotation,
     _max_matching,
@@ -32,6 +34,139 @@ NS = 2  # id of No-stroke in VOCAB_AB
 
 def frames(labels, hop=DEFAULT_HOP_SECONDS, vocab=VOCAB_AB):
     return FrameLabelSequence(tuple(labels), hop, vocab)
+
+
+# --- Reference loops ---------------------------------------------------------
+# The original per-element Python passes, kept as oracles for the array code.
+
+
+def reference_labels(labels, vocabulary):
+    """Constructor conversion and vocabulary check, one element at a time."""
+    out = tuple(int(v) for v in labels)
+    if not out:
+        raise ValueError("frame label sequence is empty")
+    if vocabulary:
+        n = len(vocabulary)
+        bad = [v for v in out if not 0 <= v < n]
+        if bad:
+            raise ValueError(f"labels {sorted(set(bad))} outside vocabulary of size {n}")
+    return out
+
+
+def reference_smooth(labels):
+    labels = list(labels)
+    for i in range(1, len(labels) - 1):
+        if labels[i - 1] == labels[i + 1] and labels[i] != labels[i - 1]:
+            labels[i] = labels[i - 1]
+    return tuple(labels)
+
+
+def reference_onsets(f):
+    ns = f.no_stroke_id()
+    events = []
+    prev = None
+    for i, lab in enumerate(f.labels):
+        if lab != prev and lab != ns:
+            events.append((i * f.hop_seconds, f.name_of(lab)))
+        prev = lab
+    return tuple(events)
+
+
+def reference_no_stroke(labels, env, ns):
+    labels = list(labels)
+    n = len(labels)
+    start = 0
+    while start < n:
+        end = start
+        while end < n and labels[end] == labels[start]:
+            end += 1
+        if labels[start] != ns:
+            peak = max(env[start:end])
+            if peak == 0.0:
+                labels[start:end] = [ns] * (end - start)
+            else:
+                thresh = NO_STROKE_AMPLITUDE_FRACTION * peak
+                for i in range(start, end):
+                    if env[i] < thresh:
+                        labels[i:end] = [ns] * (end - i)
+                        break
+        start = end
+    return tuple(labels)
+
+
+def outcome(fn, *args):
+    """A call's value, or its exception type and message."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - compared, not swallowed
+        return type(e), str(e)
+
+
+# 1-4 stroke labels, with or without a No-stroke label after them.
+vocabularies = st.builds(
+    make_vocabulary,
+    st.integers(1, 4).map(lambda k: ["A", "B", "C", "D"][:k]),
+    st.booleans(),
+)
+
+
+@st.composite
+def frame_sequences(draw):
+    vocab = draw(vocabularies)
+    labels = draw(st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=40))
+    return FrameLabelSequence(labels, draw(st.sampled_from([0.01, 0.023, 0.5])), vocab)
+
+
+class TestArrayPassesEqualReferenceLoops:
+    @given(frame_sequences())
+    @settings(max_examples=400, deadline=None)
+    def test_smoothing(self, f):
+        assert smooth_labels(f).labels == reference_smooth(f.labels)
+
+    @given(frame_sequences())
+    @settings(max_examples=400, deadline=None)
+    def test_onsets(self, f):
+        assert onsets_from_frames(f).events == reference_onsets(f)
+
+    @given(frame_sequences(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_no_stroke(self, f, data):
+        # Zero amplitudes make silent runs; 0.03 and 0.06 sit exactly on the
+        # 3 % cut of a run peaking at 1.0 or 2.0.
+        amp = st.one_of(st.sampled_from([0.0, 1e-3, 0.03, 0.06, 1.0, 2.0]),
+                        st.floats(0.0, 10.0, allow_nan=False))
+        env = data.draw(st.lists(amp, min_size=len(f), max_size=len(f)))
+        ns = f.no_stroke_id()
+        if ns is None:
+            with pytest.raises(ValueError, match="No-stroke"):
+                label_no_stroke(f, env)
+        else:
+            assert label_no_stroke(f, env).labels == reference_no_stroke(f.labels, env, ns)
+
+    @given(
+        st.lists(st.one_of(st.integers(-3, 8), st.booleans(),
+                           st.floats(-3.5, 8.5, allow_nan=False)), max_size=12),
+        vocabularies | st.just(()),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_constructor_validation(self, labels, vocab):
+        expected = outcome(reference_labels, labels, vocab)
+        got = outcome(lambda: FrameLabelSequence(labels, vocabulary=vocab).labels)
+        assert got == expected
+        if not isinstance(expected[0], type):  # accepted: ints, not floats or bools
+            assert all(type(v) is int for v in got)
+
+    @given(st.lists(st.integers(-3, 8), max_size=12), vocabularies | st.just(()),
+           st.sampled_from([np.int8, np.int32, np.int64, np.uint16, np.uint64]))
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_validation_integer_arrays(self, labels, vocab, dtype):
+        arr = np.array(labels, dtype=np.int64).astype(dtype)
+        got = outcome(lambda: FrameLabelSequence(arr, vocabulary=vocab).labels)
+        if not vocab and arr.size and arr.max() >= 2**63:
+            # Negatives wrapped to uint64: accepted before, but no int64 holds them.
+            assert got[0] is OverflowError
+        else:
+            assert got == outcome(reference_labels, arr.tolist(), vocab)
 
 
 class TestWithinCollar:
@@ -65,6 +200,39 @@ class TestFrameLabelSequence:
         with pytest.raises(ValueError):
             frames([0, 3])
 
+    def test_outside_vocabulary_message_lists_sorted_distinct_labels(self):
+        msg = "labels [-1, 3, 9] outside vocabulary of size 3"
+        for labels in ([9, 0, 3, -1, 3], np.array([9, 0, 3, -1, 3]), [9.5, 0, 3.2, -1.9, 3]):
+            with pytest.raises(ValueError) as exc:
+                frames(labels)
+            assert str(exc.value) == msg
+        with pytest.raises(ValueError, match=r"labels \[18446744073709551615\]"):
+            frames(np.array([0, 2**64 - 1], dtype=np.uint64))
+
+    def test_labels_is_a_tuple_of_ints(self):
+        f = frames(np.array([0, 1, NS], dtype=np.int8))
+        assert f.labels == (0, 1, NS)
+        assert all(type(v) is int for v in f.labels)
+        assert frames([True, 1.9, "0"]).labels == (1, 1, 0)
+
+    def test_label_array_is_read_only_and_owned(self):
+        src = np.array([0, 1, 0])
+        f = frames(src)
+        assert f.label_array.dtype == np.int64
+        with pytest.raises(ValueError):
+            f.label_array[0] = 1
+        src[0] = 1  # the caller's array stays writable and is not shared
+        assert f.labels == (0, 1, 0)
+
+    def test_immutable_with_value_equality(self):
+        f = frames([0, 1])
+        with pytest.raises(AttributeError):
+            f.hop_seconds = 1.0
+        assert f == frames(np.array([0, 1]))
+        assert hash(f) == hash(frames((0, 1)))
+        assert f != frames([0, 0])
+        assert f != frames([0, 1], hop=0.02)
+
     def test_no_stroke_id_lookup(self):
         assert frames([0]).no_stroke_id() == NS
         plain = FrameLabelSequence((0,), vocabulary=make_vocabulary(["A"]))
@@ -97,13 +265,13 @@ class TestSmoothing:
             for combo in itertools.product((0, 1), repeat=n):
                 once = smooth_labels(frames(combo))
                 twice = smooth_labels(once)
-                assert once.labels == twice.labels, combo
+                assert once.labels == twice.labels == reference_smooth(combo), combo
 
     def test_idempotent_exhaustive_three_classes(self):
         for n in range(1, 9):
             for combo in itertools.product((0, 1, NS), repeat=n):
                 once = smooth_labels(frames(combo))
-                assert smooth_labels(once).labels == once.labels, combo
+                assert smooth_labels(once).labels == once.labels == reference_smooth(combo), combo
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
@@ -354,3 +522,43 @@ class TestCsvInterchange:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             read_onsets_csv(io.StringIO("sec,label\n0.0,Dha\n"))
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("0.5 Dha", "expected time_sec,label"), ("0.5", "expected time_sec,label"),
+         ("inf,Dha", "not finite"), ("-inf,Dha", "not finite"), ("nan,Dha", "not finite"),
+         ("1e400,Dha", "not finite"), ("half,Dha", "not a number")],
+    )
+    def test_malformed_row_names_its_line(self, row, reason):
+        text = f"{ONSET_CSV_HEADER}\n0.1,Na\n\n{row}\n"
+        with pytest.raises(ValueError) as exc:
+            read_onsets_csv(io.StringIO(text))
+        msg = str(exc.value)
+        assert msg.startswith("line 4: ") and reason in msg
+        assert "\n" not in msg
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(
+            st.one_of(
+                st.text(),
+                st.builds("{},{}".format, st.floats() | st.integers(-5, 5), st.text()),
+            ),
+            max_size=6,
+        ).map(lambda rows: "\n".join([ONSET_CSV_HEADER, *rows])),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_fuzz_parses_and_round_trips_or_raises_value_error(self, text):
+        try:
+            ann = read_onsets_csv(io.StringIO(text))
+        except ValueError:
+            return
+        assert all(math.isfinite(t) for t in ann.times)
+        once = io.StringIO()
+        write_onsets_csv(ann, once)
+        back = read_onsets_csv(io.StringIO(once.getvalue()))
+        assert [lab for _, lab in back.events] == [lab for _, lab in ann.events]
+        assert all(abs(a - b) <= 5e-7 * max(1.0, abs(a)) for a, b in zip(ann.times, back.times))
+        again = io.StringIO()
+        write_onsets_csv(back, again)
+        assert again.getvalue() == once.getvalue()
