@@ -29,7 +29,7 @@ from .alignment import (
     nw_score,
     sliding_match_score,
 )
-from .autodiff import Tensor, grad, log_softmax, logsumexp, softmax
+from .autodiff import Tensor, grad
 from .maml import (
     AdaptResult,
     DivergenceError,
@@ -129,8 +129,6 @@ __all__ = [
     "label_no_stroke",
     "lcs_baseline_score",
     "load_model",
-    "log_softmax",
-    "logsumexp",
     "meta_gradients",
     "meta_test_adapt",
     "meta_train",
@@ -146,7 +144,6 @@ __all__ = [
     "sgd_step",
     "sliding_match_score",
     "smooth_labels",
-    "softmax",
     "stroke_histogram",
     "synth_task_source",
     "take_tasks",

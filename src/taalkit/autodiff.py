@@ -7,11 +7,13 @@ gradients therefore differentiates through them, which is what the
 second-order meta-update needs: the outer loss is a function of inner-loop
 gradient steps, and its exact derivative has to flow through those steps.
 
-The engine is deliberately tiny: float64 numpy arrays, a dozen primitives,
-no views, no in-place ops.  Everything a two-layer tanh network with a
-softmax cross-entropy loss needs, and nothing else.  ``@`` broadcasts over
-leading axes like ``np.matmul``, so a stack of tasks with a leading task
-axis runs through one graph instead of one graph per task.
+The engine is deliberately tiny: float64 numpy arrays, a few primitives,
+no views, no in-place ops.  Everything a two-layer tanh network needs, and
+the few operations the loss's backward rule is written in; the loss itself
+(``surrogate.wce_loss``) is one node with its own rule, built like the
+primitives here.  ``@`` broadcasts over leading axes like ``np.matmul``, so
+a stack of tasks with a leading task axis runs through one graph instead of
+one graph per task.
 
 Nodes whose backward rule needs their own output (``exp``, ``tanh``,
 ``recip``) hold it through a weak reference: a closure over the node itself
@@ -68,9 +70,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def numpy(self) -> np.ndarray:
-        return self.data.copy()
-
     def __repr__(self) -> str:
         flags = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flags})"
@@ -125,21 +124,6 @@ class Tensor:
     def __rsub__(self, other) -> "Tensor":
         return ensure_tensor(other) - self
 
-    def __truediv__(self, other) -> "Tensor":
-        return self * ensure_tensor(other).recip()
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return ensure_tensor(other) * self.recip()
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        c = float(exponent)
-        x = self
-        return Tensor(
-            x.data**c,
-            _parents=(x,),
-            _vjp=lambda g: (g * (c * x ** (c - 1.0)),),
-        )
-
     def __matmul__(self, other) -> "Tensor":
         """Matrix product over the last two axes, broadcasting leading axes."""
         other = ensure_tensor(other)
@@ -162,12 +146,6 @@ class Tensor:
             raise ValueError("transpose needs at least 2 dimensions")
         return Tensor(np.swapaxes(self.data, -1, -2), _parents=(self,), _vjp=lambda g: (g.mT,))
 
-    @property
-    def T(self) -> "Tensor":
-        if self.ndim != 2:
-            raise ValueError("transpose supports 2-D tensors only")
-        return self.mT
-
     # --- elementwise functions ---
 
     def recip(self) -> "Tensor":
@@ -182,24 +160,11 @@ class Tensor:
         out._vjp = lambda g: (g * ref(),)
         return out
 
-    def log(self) -> "Tensor":
-        x = self
-        return Tensor(np.log(x.data), _parents=(x,), _vjp=lambda g: (g / x,))
-
     def tanh(self) -> "Tensor":
         out = Tensor(np.tanh(self.data), _parents=(self,))
         ref = weakref.ref(out)
         out._vjp = lambda g: (g * (1.0 - ref() * ref()),)
         return out
-
-    def clip_min_const(self, lower: float) -> "Tensor":
-        """Elementwise max with a constant; gradient passes only where unclipped."""
-        mask = Tensor((self.data > lower).astype(np.float64))
-        return Tensor(
-            np.maximum(self.data, lower),
-            _parents=(self,),
-            _vjp=lambda g: (g * mask,),
-        )
 
     # --- shape functions ---
 
@@ -232,14 +197,6 @@ class Tensor:
             return (g.broadcast_to(shape),)
 
         return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,), _vjp=vjp)
-
-    def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        total = self.sum(axis=axis, keepdims=keepdims)
-        return total * (total.size / self.size)
-
-    def max_const(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        """Maximum along an axis, detached from the graph (piecewise constant)."""
-        return Tensor(self.data.max(axis=axis, keepdims=keepdims))
 
 
 def ensure_tensor(x) -> Tensor:
@@ -327,29 +284,3 @@ def grad(
             g = zeros_like(inp)
         results.append(g if create_graph else g.detach())
     return results
-
-
-# --- composite functions ----------------------------------------------------
-
-
-def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp.
-
-    The subtracted maximum is detached, which is derivative-exact at every
-    order: writing f(x, c) = c + log(sum(exp(x - c))), df/dc is identically
-    zero, so dropping the dependence of c on x loses nothing.
-    """
-    c = t.max_const(axis=axis, keepdims=True)
-    shifted = (t - c).exp().sum(axis=axis, keepdims=True).log() + c
-    if keepdims:
-        return shifted
-    new_shape = tuple(d for i, d in enumerate(t.shape) if i != axis % t.ndim)
-    return shifted.reshape(new_shape)
-
-
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    return t - logsumexp(t, axis=axis, keepdims=True)
-
-
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    return log_softmax(t, axis=axis).exp()

@@ -263,6 +263,15 @@ def _prf(n_match: int, n_est: int, n_ref: int) -> tuple[float, float, float]:
     return p, r, f
 
 
+def _times_by_class(annotation: OnsetAnnotation) -> dict[str, list[float]]:
+    """Event times per class in event order, classes in order of first
+    appearance, from one pass over the events."""
+    times: dict[str, list[float]] = {}
+    for t, lab in annotation.events:
+        times.setdefault(lab, []).append(t)
+    return times
+
+
 def onset_f1(
     reference: OnsetAnnotation,
     estimate: OnsetAnnotation,
@@ -277,14 +286,11 @@ def onset_f1(
     """
     if collar_seconds <= 0:
         raise ValueError("collar must be positive")
-    classes = list(reference.classes)
-    for c in estimate.classes:
-        if c not in classes:
-            classes.append(c)
+    ref_times, est_times = _times_by_class(reference), _times_by_class(estimate)
+    classes = list(ref_times) + [c for c in est_times if c not in ref_times]
     per_class: dict[str, ClassScore] = {}
     for c in classes:
-        rt = [t for t, lab in reference.events if lab == c]
-        et = [t for t, lab in estimate.events if lab == c]
+        rt, et = ref_times.get(c, []), est_times.get(c, [])
         n = _max_matching(rt, et, collar_seconds)
         p, r, f = _prf(n, len(et), len(rt))
         per_class[c] = ClassScore(p, r, f, len(rt), len(et), n)

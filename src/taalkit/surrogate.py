@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, ensure_tensor, log_softmax
+from .autodiff import Tensor, ensure_tensor
 
 MODEL_FORMAT = "taalkit-surrogate"
 MODEL_VERSION = 1
@@ -167,6 +167,12 @@ def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     result is the mean of those terms over the T frames.  (T, C) logits with
     (T,) labels and (C,) weights give a scalar; a batch of (B, T, C) logits
     with (B, T) labels and (B, C) weights gives the (B,) per-task losses.
+
+    The loss is one graph node.  Its backward rule, d/dz = -w_{y_t} / T *
+    (onehot - softmax(z)) per frame, zero where the floor holds, is written
+    in Tensor operations, so it can be differentiated again.  The softmax
+    subtracts a detached row maximum c, which is exact at every order:
+    exp(z - c) / sum(exp(z - c)) does not depend on c.
     """
     logits = ensure_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
@@ -186,11 +192,22 @@ def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
         raise ValueError("non-finite values in logits")
     if not np.isfinite(weights).all():
         raise ValueError("non-finite values in class weights")
+    z = logits.data
+    shift = z.max(axis=-1, keepdims=True)
+    logp = z - (np.log(np.exp(z - shift).sum(axis=-1, keepdims=True)) + shift)
+    floor = float(np.log(PROB_FLOOR))
     onehot = np.eye(c)[labels]
-    logp = log_softmax(logits, axis=-1).clip_min_const(float(np.log(PROB_FLOOR)))
-    picked = (logp * Tensor(onehot)).sum(axis=-1)
+    picked = (np.maximum(logp, floor) * onehot).sum(axis=-1)
     frame_weights = np.take_along_axis(weights, labels, axis=-1)
-    return (picked * Tensor(frame_weights)).sum(axis=-1) * (-1.0 / t)
+    value = (picked * frame_weights).sum(axis=-1) * (-1.0 / t)
+    coef = (frame_weights * (picked > floor) * (-1.0 / t))[..., None]
+
+    def vjp(g: Tensor) -> tuple[Tensor]:
+        e = (logits - shift).exp()
+        softmax = e * e.sum(axis=-1, keepdims=True).recip()
+        return ((Tensor(onehot) - softmax) * coef * g.reshape(g.shape + (1, 1)),)
+
+    return Tensor(value, _parents=(logits,), _vjp=vjp)
 
 
 def sgd_step(params: Sequence[Tensor], grads: Sequence[Tensor], lr: float) -> list[Tensor]:

@@ -12,9 +12,11 @@ differences of the unrolled objective.
 import functools
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +37,23 @@ from taalkit.talas import builtin_talas
 from taalkit.tasks import SyntheticTaskConfig, synth_task_source, take_tasks
 
 CLI = [sys.executable, "-m", "taalkit.cli"]
+# The CLI runs from this checkout's src/ whether or not PYTHONPATH is set.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_cli(args):
+    return subprocess.run(CLI + args, capture_output=True, timeout=600, env=CLI_ENV)
+
+
+def _failures(*procs) -> list[str]:
+    """``exit N: <last stderr line>`` for each CLI run that failed."""
+    out = []
+    for proc in procs:
+        if proc.returncode != 0:
+            lines = proc.stderr.decode(errors="replace").strip().splitlines()
+            out.append(f"exit {proc.returncode}: {lines[-1] if lines else '(no stderr)'}")
+    return out
 
 
 # --- 1. clean identification exhaustiveness --------------------------------
@@ -237,12 +256,7 @@ def test_criterion_4_meta_gradient_fd():
 
 def test_criterion_5_few_shot_advantage(tmp_path):
     start = time.perf_counter()
-    proc = subprocess.run(
-        CLI + ["maml-demo", "--seed", "7", "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
+    proc = _run_cli(["maml-demo", "--seed", "7", "--out", str(tmp_path)])
     elapsed = time.perf_counter() - start
     ok = proc.returncode == 0 and elapsed < 300.0
     win_rate = float("nan")
@@ -257,7 +271,7 @@ def test_criterion_5_few_shot_advantage(tmp_path):
         5,
         "meta-trained init beats random init on >= 80% of 50 unseen tasks, "
         "demo < 5 min",
-        f"win rate {win_rate:.2f} over {n_tasks} tasks, {elapsed:.0f} s",
+        "; ".join([f"win rate {win_rate:.2f} over {n_tasks} tasks, {elapsed:.0f} s", *_failures(proc)]),
     )
 
 
@@ -354,10 +368,6 @@ def test_criterion_6_onset_f1_oracle():
 # --- 7. determinism -----------------------------------------------------------
 
 
-def _run_cli(args):
-    return subprocess.run(CLI + args, capture_output=True, timeout=600)
-
-
 def test_criterion_7_seeded_determinism(tmp_path):
     eval_args = [
         "eval", "--talas", "all", "--trials", "5",
@@ -394,8 +404,11 @@ def test_criterion_7_seeded_determinism(tmp_path):
         ok,
         7,
         "seeded commands emit byte-identical output across two runs",
-        f"eval identical={eval_ok}, maml-demo identical={demo_ok} "
-        "(identify/bench take no seed: they report wall-clock timings)",
+        "; ".join([
+            f"eval identical={eval_ok}, maml-demo identical={demo_ok} "
+            "(identify/bench take no seed: they report wall-clock timings)",
+            *_failures(run_a, run_b, run_c, run_d),
+        ]),
     )
 
 
@@ -431,5 +444,5 @@ def test_criterion_8_noise_monotonicity():
         8,
         "tala-averaged accuracy non-increasing in deletion noise "
         "(500 trials/point, <= 1 violation per method)",
-        "; ".join(details),
+        "; ".join(details + _failures(proc)),
     )

@@ -522,8 +522,13 @@ class TestMetaTestAdapt:
 
 
 def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
-    """Test-time adaptation one ``inner_adapt`` step at a time, scoring the
-    trace after each step with its own forward passes."""
+    """Test-time adaptation one plain gradient step at a time, scoring the
+    trace after each step with its own forward passes.
+
+    Divergence is numbered by the rule in ``inner_adapt``'s docstring: step
+    k fails when the parameters, support logits, loss or gradients are not
+    finite at its start, and non-finite final parameters fail the last step.
+    """
     single = head is None or isinstance(head[0], Tensor)
     bases = [model.head if head is None else head] if single else list(head)
     rng = None
@@ -552,13 +557,23 @@ def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
             q[ok] = wce_loss(q_logits[ok], qy[ok], w[ok]).data
         return sup, q
 
+    def finite(*tensors):
+        return all(np.isfinite(t.data).all() for t in tensors)
+
+    steps = cfg.adapt_iters * cfg.inner_steps
     rows = [(0, *losses(params))]
-    for step in range(1, cfg.adapt_iters * cfg.inner_steps + 1):
-        try:
-            params = inner_adapt(sh, sy, params, w, cfg.alpha, 1, False)[-1]
-        except DivergenceError:
-            raise DivergenceError(step) from None
+    for step in range(1, steps + 1):
+        logits = head_logits(sh, params)
+        if not finite(*params, logits):
+            raise DivergenceError(step)
+        loss = wce_loss(logits, sy, w)
+        grads = grad(loss, params, grad_output=Tensor(np.ones(n)))
+        if not finite(loss, *grads):
+            raise DivergenceError(step)
+        params = sgd_step(params, grads, cfg.alpha)
         rows.append((step, *losses(params)))
+    if steps and not finite(*params):
+        raise DivergenceError(steps)
 
     predicted = np.argmax(head_logits(qh, params).data, axis=-1)
     results = [
@@ -605,6 +620,16 @@ class TestAgainstStepwiseReference:
         for a, b in zip(got, ref):
             assert len(a.trace) == adapt_iters * inner_steps + 1
             assert_same_adaptation(a, b)
+
+    def test_divergence_step_equals_stepwise_reference(self):
+        # Step 1 overflows W1; both report it at step 2, whose start sees it.
+        model, task, head = TestMetaTestAdapt._overflowing_setup()
+        cfg = MamlConfig(alpha=1e308, inner_steps=1, adapt_iters=3)
+        for adapt in (meta_test_adapt, reference_meta_test_adapt):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError) as exc:
+                    adapt(model, task, cfg, head=head)
+            assert exc.value.step == 2
 
     @pytest.mark.parametrize("seed", [7, 1])
     def test_paired_eval_equals_stepwise_reference(self, seed, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import central_difference, flatten_params, param_shapes, unflatten_params
-from taalkit.autodiff import Tensor, grad, softmax
+from taalkit.autodiff import Tensor, grad
 from taalkit.surrogate import (
     PROB_FLOOR,
     FrozenFeatureMap,
@@ -27,6 +27,12 @@ from taalkit.surrogate import (
     wce_loss,
     with_new_head_output,
 )
+
+
+def softmax(z):
+    """Row-wise softmax in plain numpy, stabilized by the row maximum."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestFeatureMap:
@@ -249,6 +255,49 @@ class TestWceLoss:
         rel = np.linalg.norm(g.data - fd) / max(np.linalg.norm(fd), 1e-30)
         assert rel < 1e-6
 
+    @staticmethod
+    def _gradcheck_case(batched):
+        # Frame 0 has extreme logits but a live label; frame 1 sits far
+        # below the probability floor, so its gradient must vanish.
+        rng = np.random.default_rng(9)
+        lead = (2,) if batched else ()
+        z = rng.normal(scale=2.0, size=lead + (5, 3))
+        y = rng.integers(0, 3, size=lead + (5,))
+        z[..., 0, :] = [1e3, 1e3 - 1.0, -1e3]
+        y[..., 0] = 1
+        z[..., 1, :] = [-1e3, 1e3, 0.0]
+        y[..., 1] = 0
+        w = np.stack([class_weights_from_labels(row, 3) for row in y.reshape(-1, 5)])
+        return z, y, w.reshape(lead + (3,))
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["2d", "batched"])
+    def test_first_derivative_matches_central_differences(self, batched):
+        z0, y, w = self._gradcheck_case(batched)
+        zt = Tensor(z0, requires_grad=True)
+        (g,) = grad(wce_loss(zt, y, w).sum(), [zt])
+        fd = central_difference(lambda z: wce_loss(z, y, w).sum().item(), z0)
+        assert np.allclose(g.data, fd, rtol=1e-6, atol=1e-9)
+        assert np.array_equal(g.data[..., 1, :], np.zeros_like(z0[..., 1, :]))
+        assert np.abs(g.data[..., 0, :]).max() > 0.01
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["2d", "batched"])
+    def test_second_derivative_matches_central_differences(self, batched):
+        # Hessian-vector products through the loss node's backward rule
+        # against central differences of its first derivative.
+        z0, y, w = self._gradcheck_case(batched)
+        v = np.random.default_rng(10).normal(size=z0.shape)
+
+        def gdotv(z):
+            zt = Tensor(z, requires_grad=True)
+            (g,) = grad(wce_loss(zt, y, w).sum(), [zt])
+            return float((g.data * v).sum())
+
+        zt = Tensor(z0, requires_grad=True)
+        (g1,) = grad(wce_loss(zt, y, w).sum(), [zt], create_graph=True)
+        (hv,) = grad((g1 * Tensor(v)).sum(), [zt])
+        assert np.allclose(hv.data, central_difference(gdotv, z0), rtol=1e-5, atol=1e-8)
+        assert np.array_equal(hv.data[..., 1, :], np.zeros_like(z0[..., 1, :]))
+        assert np.abs(hv.data[..., 0, :]).max() > 0.01
 
     def test_batched_equals_each_task(self):
         rng = np.random.default_rng(8)
@@ -281,7 +330,7 @@ class TestWceLossProbs:
         logits = rng.normal(size=(5, 3))
         labels = rng.integers(0, 3, 5)
         weights = class_weights_from_labels(labels, 3)
-        probs = softmax(Tensor(logits), axis=1).data  # (T, C)
+        probs = softmax(logits)  # (T, C)
         onehot = np.zeros((3, 5))
         onehot[labels, np.arange(5)] = 1.0
         a = wce_loss(logits, labels, weights).item()
@@ -365,7 +414,7 @@ class TestSurrogateModel:
     def test_probabilities_sum_to_one(self):
         model = SurrogateModel.create(6, 8, 3, np.random.default_rng(11))
         x = np.random.default_rng(12).normal(scale=30.0, size=(16, 6))
-        probs = softmax(model.logits(x), axis=1).data
+        probs = softmax(model.logits(x).data)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
 
     def test_deterministic_by_seed(self):
