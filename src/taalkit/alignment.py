@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .talas import StrokeSequence, TalaDefinition, builtin_talas
+from .talas import StrokeLabel, StrokeSequence, TalaDefinition, builtin_talas, stroke_names
 
 MATCH_SCORE = 1
 MISMATCH_SCORE = -1
@@ -25,19 +25,13 @@ GAP_PENALTY = -2
 DP_CHUNK_CELLS = 1 << 20
 
 
-def _names(seq) -> tuple[str, ...]:
-    if isinstance(seq, StrokeSequence):
-        return seq.names
-    return tuple(s if isinstance(s, str) else s.name for s in seq)
-
-
 def _nw_score_matrix(x_ref, y) -> np.ndarray:
     """Full (m+1)x(w+1) global-alignment score matrix for two sequences.
 
     ``S[i][j]`` is the best score aligning the first ``i`` strokes of
     ``x_ref`` with the first ``j`` strokes of ``y``.
     """
-    xs, ys = _names(x_ref), _names(y)
+    xs, ys = stroke_names(x_ref), stroke_names(y)
     if not xs or not ys:
         raise ValueError("empty sequence")
     m, w = len(xs), len(ys)
@@ -66,7 +60,7 @@ def nw_align(x_ref, y) -> tuple[int, list[tuple[str | None, str | None]]]:
     Gaps appear as ``None``.  The sum of per-column scores along the
     returned path equals ``nw_score(x_ref, y)`` by construction.
     """
-    xs, ys = _names(x_ref), _names(y)
+    xs, ys = stroke_names(x_ref), stroke_names(y)
     S = _nw_score_matrix(xs, ys)
     i, j = len(xs), len(ys)
     path: list[tuple[str | None, str | None]] = []
@@ -182,7 +176,7 @@ def rank(
 
 
 def sliding_match_score(
-    transcribed: StrokeSequence | Sequence[str],
+    transcribed: StrokeSequence | Sequence[str | StrokeLabel],
     tala: TalaDefinition,
     *,
     gharana_equiv: bool = True,
@@ -199,7 +193,7 @@ def sliding_match_score(
     Each distinct window is aligned once and its score shared by every
     offset where it occurs, so repetitive input costs little.
     """
-    names = _names(transcribed)
+    names = stroke_names(transcribed)
     if not names:
         raise ValueError("empty sequence")
     m = tala.matra_count
@@ -230,7 +224,7 @@ def sliding_match_score(
 
 
 def identify_tala_nw(
-    transcribed: StrokeSequence | Sequence[str],
+    transcribed: StrokeSequence | Sequence[str | StrokeLabel],
     talas: Sequence[TalaDefinition] | None = None,
     *,
     gharana_equiv: bool = True,
@@ -245,7 +239,7 @@ def identify_tala_nw(
     talas = builtin_talas() if talas is None else list(talas)
     if not talas:
         raise ValueError("at least one tala required")
-    names = _names(transcribed)
+    names = stroke_names(transcribed)
     scores = []
     short = False
     for t in talas:
@@ -262,7 +256,7 @@ def identify_tala_nw(
 
 def lcs_baseline_score(x, y) -> int:
     """Longest-common-subsequence length; the order-only baseline."""
-    xs, ys = _names(x), _names(y)
+    xs, ys = stroke_names(x), stroke_names(y)
     if not xs or not ys:
         return 0
     prev = [0] * (len(ys) + 1)

@@ -24,6 +24,7 @@ the gradient nodes the rule builds hold it through their ``_parents``.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from typing import Callable, Sequence
 
@@ -31,11 +32,15 @@ import numpy as np
 
 Vjp = Callable[["Tensor"], tuple["Tensor | None", ...]]
 
+# Creation order of tensors.  A node is always created after its parents, so
+# a node older than a tensor cannot depend on it.
+_next_index = itertools.count().__next__
+
 
 class Tensor:
     """A float64 array plus the recipe for back-propagating through it."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_needs", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_needs", "_index", "__weakref__")
 
     def __init__(
         self,
@@ -52,6 +57,7 @@ class Tensor:
         for p in _parents:
             needs = needs or p._needs
         self._needs = needs
+        self._index = _next_index()
 
     # --- introspection ---
 
@@ -219,7 +225,9 @@ def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     return g if g.shape == shape else g.reshape(shape)
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def _toposort(root: Tensor, floor: float) -> list[Tensor]:
+    """Nodes ``root`` depends on, parents first, leaving out every node
+    created before index ``floor``."""
     # Tensors hash by identity, so they key the sets and dicts directly.
     order: list[Tensor] = []
     seen: set[Tensor] = set()
@@ -229,7 +237,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         if expanded:
             order.append(node)
             continue
-        if node in seen:
+        if node in seen or node._index < floor:
             continue
         seen.add(node)
         stack.append((node, True))
@@ -253,14 +261,16 @@ def grad(
 
     Back-propagation runs only through nodes that depend on an input: an
     inner-loop step asks for the gradient at the current parameters, and
-    the earlier steps those were computed from take no part in it.
+    the earlier steps those were computed from take no part in it.  Nodes
+    created before the oldest such input are not even visited, so a step's
+    sort does not grow with the steps before it.
     """
     if grad_output is None:
         if output.size != 1:
             raise ValueError("grad of a non-scalar output needs an explicit grad_output")
         grad_output = Tensor(np.ones(output.shape))
-    order = _toposort(output)
     wanted = {t for t in inputs if t._needs}
+    order = _toposort(output, min((t._index for t in wanted), default=float("inf")))
     through: set[Tensor] = set()  # nodes with a parent whose gradient is needed
     for node in order:  # parents come first
         for p in node._parents:

@@ -132,13 +132,6 @@ class OnsetAnnotation:
     def times(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.events)
 
-    @property
-    def classes(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _, lab in self.events:
-            seen.setdefault(lab)
-        return tuple(seen)
-
 
 def _run_starts(labels: np.ndarray) -> np.ndarray:
     """Index of the first frame of each maximal run of one label."""

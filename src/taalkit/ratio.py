@@ -8,12 +8,13 @@ alone, ignoring order; it is orders of magnitude cheaper than alignment.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 from .alignment import RankedResult, TalaScore, rank
-from .talas import StrokeSequence, TalaDefinition, builtin_talas, stroke_histogram
+from .talas import StrokeLabel, StrokeSequence, TalaDefinition, builtin_talas, stroke_histogram, stroke_names
 
 
 def cosine_similarity(R, T) -> float:
@@ -37,7 +38,7 @@ def cosine_similarity(R, T) -> float:
 
 
 def identify_tala_ratio(
-    seq: StrokeSequence | Sequence[str],
+    seq: StrokeSequence | Sequence[str | StrokeLabel],
     talas: Sequence[TalaDefinition] | None = None,
     *,
     gharana_equiv: bool = True,
@@ -51,22 +52,26 @@ def identify_tala_ratio(
     strokes; this damping keeps a tala with a tiny vocabulary from winning
     on a handful of accidental matches.  The raw cosine is reported
     alongside.
+
+    The input is counted once; each tala then maps only its distinct tokens,
+    so the per-tala work does not grow with the number of strokes.
     """
     talas = builtin_talas() if talas is None else list(talas)
     if not talas:
         raise ValueError("at least one tala required")
-    names = seq.names if isinstance(seq, StrokeSequence) else tuple(seq)
+    names = stroke_names(seq)
     if not names:
         raise ValueError("empty sequence")
-    distinct = dict.fromkeys(names)
+    tally = Counter(names)
     scores = []
     for t in talas:
-        mapped = names
+        mapped = tally
         if gharana_equiv:
-            canonical = {n: t.canonical_stroke(n) for n in distinct}
-            mapped = tuple(map(canonical.__getitem__, names))
+            mapped = Counter()
+            for n, k in tally.items():
+                mapped[t.canonical_stroke(n)] += k
         counts, oov = stroke_histogram(mapped, t.stroke_vocabulary)
-        coverage = (len(mapped) - oov) / len(mapped)
+        coverage = (len(names) - oov) / len(names)
         cos = cosine_similarity(np.asarray(t.reference_ratio), counts)
         scores.append(TalaScore(tala=t.name, score=cos, normalized=cos * coverage, coverage=coverage))
     flags = ("low_confidence",) if max(s.normalized for s in scores) == 0.0 else ()

@@ -1,7 +1,8 @@
 """Text interchange for stroke sequences.
 
 The on-disk format is as plain as it gets: stroke tokens separated by
-whitespace or newlines, with lines starting with ``#`` ignored as comments.
+whitespace or newlines, with a line whose first token starts with ``#``
+ignored as a comment.
 Reading normalizes known spelling variants to their canonical token so that
 downstream vocabularies stay small; anything else passes through untouched
 and is the caller's problem to flag as out-of-vocabulary.
@@ -17,19 +18,29 @@ TOKENS_PER_LINE = 8
 
 
 def read_stroke_tokens(src: str | TextIO) -> list[str]:
-    """Read and normalize tokens; full-line ``#`` comments are skipped."""
+    """Read and normalize tokens; a line whose first token starts with
+    ``#`` is a comment and is skipped.
+
+    Lines are the stream's own, as iterating it yields them.  The text is
+    split once; the comment filter runs only when a ``#`` occurs and the
+    alias mapping only when an alias does.
+    """
     own = isinstance(src, str)
     fh: TextIO = open(src, "r", encoding="utf-8") if own else src
     try:
-        return [
-            TOKEN_ALIASES.get(t, t)
-            for words in map(str.split, fh)
-            if words and not words[0].startswith("#")
-            for t in words
-        ]
+        lines = fh.readlines()
     finally:
         if own:
             fh.close()
+    text = "".join(lines)
+    if "#" in text:
+        # Every line but the last ends in a line break, so joining them
+        # keeps tokens apart.
+        text = "".join(line for line in lines if not line.lstrip().startswith("#"))
+    tokens = text.split()
+    if any(alias in text for alias in TOKEN_ALIASES):
+        tokens = list(map(TOKEN_ALIASES.get, tokens, tokens))
+    return tokens
 
 
 def write_stroke_tokens(tokens: Iterable[str], dest: str | TextIO) -> None:
@@ -62,8 +73,4 @@ def known_stroke_names() -> frozenset[str]:
 def out_of_vocabulary(tokens: Iterable[str]) -> list[str]:
     """Distinct tokens no builtin tala knows, in first-seen order."""
     known = known_stroke_names()
-    seen: dict[str, None] = {}
-    for t in tokens:
-        if t not in known:
-            seen.setdefault(t)
-    return list(seen)
+    return [t for t in dict.fromkeys(tokens) if t not in known]

@@ -249,21 +249,34 @@ def get_tala(name: str) -> TalaDefinition:
     raise KeyError(f"unknown tala {name!r}; known: {known}")
 
 
+def stroke_names(seq: StrokeSequence | Sequence[str | StrokeLabel]) -> tuple[str, ...]:
+    """Stroke names of a sequence of names, of ``StrokeLabel``s, or of a
+    ``StrokeSequence``, as one tuple."""
+    if isinstance(seq, StrokeSequence):
+        return seq.names
+    seq = tuple(seq)
+    # All-str input, the common case, is checked with one C-level pass.
+    if set(map(type, seq)) <= {str}:
+        return seq
+    return tuple(s if isinstance(s, str) else s.name for s in seq)
+
+
 def stroke_histogram(
-    seq: StrokeSequence | Sequence[str],
+    seq: StrokeSequence | Sequence[str | StrokeLabel] | Counter,
     vocab: Sequence[StrokeLabel],
 ) -> tuple[np.ndarray, int]:
     """Count strokes of ``seq`` over an ordered vocabulary.
 
+    ``seq`` may also be a ``Counter`` of stroke names, already counted.
     Returns ``(counts, oov)`` where ``counts[i]`` is the number of
     occurrences of ``vocab[i]`` and ``oov`` tallies strokes outside the
     vocabulary.
     """
-    names = seq.names if isinstance(seq, StrokeSequence) else seq
+    tally = seq if isinstance(seq, Counter) else Counter(stroke_names(seq))
     index = {s.name: i for i, s in enumerate(vocab)}
     counts = np.zeros(len(vocab), dtype=np.int64)
     oov = 0
-    for n, k in Counter(names).items():
+    for n, k in tally.items():
         i = index.get(n)
         if i is None:
             oov += k

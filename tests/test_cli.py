@@ -1,6 +1,11 @@
-"""Tests for the command-line interface (run in-process)."""
+"""Tests for the command-line interface (run in-process, except the
+peak-memory check, which needs a process of its own)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from taalkit.cli import (
     main,
 )
 from taalkit.seqio import write_stroke_tokens
-from taalkit.simulate import PerformanceSpec, generate_performance
+from taalkit.simulate import NoiseSpec, PerformanceSpec, corrupt, generate_performance
 from taalkit.talas import TOKEN_ALIASES
 
 
@@ -97,6 +102,50 @@ class TestIdentify:
         best = lambda doc: {e["tala"]: e for e in doc["ranking"]}["Tintal"]  # noqa: E731
         assert best(with_equiv)["normalized"] == pytest.approx(1.0)
         assert best(without)["normalized"] < 1.0
+
+
+# Runs the CLI, then reports its exit code and the peak resident set size
+# (VmHWM, kB) of this process alone.  ru_maxrss is no use here: Linux carries
+# it across fork and exec, so a child reads at least its parent's peak.
+PEAK_RSS_CHILD = """
+import sys
+from taalkit.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+sys.stderr.write(f"{code} {hwm.split()[1]}\\n")
+"""
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def _identify_peak_mb(path, method):
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "identify", path, "--method", method],
+        capture_output=True, text=True, timeout=600, env=CHILD_ENV,
+    )
+    code, hwm_kb = proc.stderr.split("\n")[-2].split()
+    assert code == "0", proc.stderr
+    return int(hwm_kb) / 1024
+
+
+def _noisy_tintal_file(directory, strokes):
+    perf = generate_performance(PerformanceSpec(tala="Tintal", cycles=strokes // 16))
+    noisy = corrupt(perf, NoiseSpec(p_sub=0.1, p_del=0.1, p_ins=0.1, seed=7))
+    path = directory / f"tintal_{strokes}.txt"
+    write_stroke_tokens(noisy.names, str(path))
+    return str(path)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_identify_peak_memory_on_long_input(tmp_path):
+    # On Linux x86-64 (Python 3.11, numpy 2.4) a 240-stroke NW child peaked
+    # at about 33 MB and a 100,000-stroke one at about 58 MB with NW and
+    # 39 MB with ratio; the bound is twice the larger growth.
+    base = _identify_peak_mb(_noisy_tintal_file(tmp_path, 240), "nw")
+    long_file = _noisy_tintal_file(tmp_path, 100_000)
+    for method in ("nw", "ratio"):
+        assert _identify_peak_mb(long_file, method) - base <= 48.0, method
 
 
 class TestEval:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import taalkit.autodiff
 import taalkit.maml
 from gradcheck import central_difference, flatten_params, param_shapes, unflatten_params
 from taalkit.autodiff import Tensor, grad
@@ -125,6 +126,28 @@ class TestInnerAdapt:
         final = wce_loss(head_logits(h, out), y, w).item()
         assert final < losses[0]
         assert losses == sorted(losses, reverse=True)
+
+    @pytest.mark.parametrize("second_order", [False, True])
+    def test_step_sort_does_not_grow_with_earlier_steps(self, monkeypatch, second_order):
+        # Each step's parameters chain back through every earlier step; the
+        # sort must stop at them instead of walking that chain.
+        sorted_lengths = []
+        original = taalkit.autodiff._toposort
+
+        def recording(root, floor):
+            order = original(root, floor)
+            sorted_lengths.append(len(order))
+            return order
+
+        monkeypatch.setattr(taalkit.autodiff, "_toposort", recording)
+        h, y, head, w = self._setup(seed=3)
+        inner_adapt(h, y, head, w, alpha=0.05, steps=30, second_order=second_order)
+        assert len(sorted_lengths) == 30
+        assert len(set(sorted_lengths[1:])) == 1
+        # At order 2, steps after the first also sort the scaled gradients
+        # that sgd_step built after the first new parameter.
+        if not second_order:
+            assert sorted_lengths[0] == sorted_lengths[-1]
 
     def test_zero_steps(self):
         h, y, head, w = self._setup()

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taalkit.alignment import identify_tala_nw
 from taalkit.ratio import cosine_similarity, identify_tala_ratio
 from taalkit.simulate import PerformanceSpec, default_insertion_vocabulary, generate_performance
-from taalkit.talas import TalaDefinition, builtin_talas, get_tala, stroke_histogram
+from taalkit.talas import StrokeSequence, TalaDefinition, builtin_talas, get_tala, stroke_histogram
 
 TOKEN_POOL = (*default_insertion_vocabulary(), "Ta", "Zzz", "Qq")
 
@@ -182,3 +183,16 @@ class TestIdentifyRatio:
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty sequence"):
             identify_tala_ratio([])
+
+
+@pytest.mark.parametrize("identify", [identify_tala_nw, identify_tala_ratio], ids=["nw", "ratio"])
+def test_identifiers_accept_names_labels_and_sequences(identify):
+    rupak = get_tala("Rupak")
+    labels = list(rupak.theka) * 3
+    names = [s.name for s in labels]
+    results = [identify(x) for x in (names, labels, StrokeSequence(tuple(labels)))]
+    assert results[0].best.tala == "Rupak"
+    assert results[0].best.normalized == pytest.approx(1.0)
+    assert "low_confidence" not in results[0].flags
+    assert results[1] == results[0]
+    assert results[2] == results[0]

@@ -1,7 +1,11 @@
 """Tests for the tala catalogue and stroke-sequence primitives."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taalkit.talas import (
     NO_STROKE,
@@ -12,6 +16,7 @@ from taalkit.talas import (
     get_tala,
     make_vocabulary,
     stroke_histogram,
+    stroke_names,
 )
 
 EXPECTED = {
@@ -180,6 +185,44 @@ class TestHistogram:
         a[0] = 999  # mutating the returned array must not affect later calls
         b, _ = stroke_histogram(tintal.theka_names, tintal.stroke_vocabulary)
         assert b.tolist() == [6, 6, 2, 2]
+
+
+    @given(
+        st.lists(st.sampled_from(("Dha", "Dhin", "Tin", "Na", "Ta", "Dhi", "Zzz"))),
+        st.sampled_from(sorted(EXPECTED)),
+    )
+    def test_counter_input_equals_sequence_input(self, names, tala):
+        vocab = get_tala(tala).stroke_vocabulary
+        a, oov_a = stroke_histogram(Counter(names), vocab)
+        b, oov_b = stroke_histogram(names, vocab)
+        assert a.tolist() == b.tolist()
+        assert oov_a == oov_b
+
+    def test_label_input_counts_names(self):
+        tintal = get_tala("Tintal")
+        counts, oov = stroke_histogram(list(tintal.theka), tintal.stroke_vocabulary)
+        assert counts.tolist() == [6, 6, 2, 2]
+        assert oov == 0
+
+
+class TestStrokeNames:
+    def test_name_tuple_returned_as_is(self):
+        names = ("Dha", "Na")
+        assert stroke_names(names) is names
+
+    def test_names_labels_and_sequence_agree(self):
+        seq = StrokeSequence.from_names(["Dha", "Na", "Dha"])
+        want = ("Dha", "Na", "Dha")
+        assert stroke_names(["Dha", "Na", "Dha"]) == want
+        assert stroke_names(list(seq.strokes)) == want
+        assert stroke_names(seq) == want
+        assert stroke_names(iter(want)) == want
+
+    def test_mixed_names_and_labels(self):
+        assert stroke_names(["Dha", StrokeLabel(0, "Na")]) == ("Dha", "Na")
+
+    def test_empty(self):
+        assert stroke_names([]) == ()
 
 
 class TestDefinitionValidation:
