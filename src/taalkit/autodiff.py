@@ -1,11 +1,17 @@
 """Small reverse-mode automatic differentiation engine with higher-order support.
 
-Every primitive's backward rule is itself written in terms of ``Tensor``
-operations, so the gradients returned by :func:`grad` are ordinary graph
-nodes.  Calling :func:`grad` on an expression that already contains
-gradients therefore differentiates through them, which is what the
-second-order meta-update needs: the outer loss is a function of inner-loop
-gradient steps, and its exact derivative has to flow through those steps.
+Every primitive's backward rule is written once and runs in two modes,
+picked by the type of the gradient it receives.  Under
+``grad(..., create_graph=True)`` the gradient is a ``Tensor`` and the rule
+records ``Tensor`` operations, so the gradients returned are ordinary graph
+nodes: calling :func:`grad` on an expression that already contains them
+differentiates through them, which is what the second-order meta-update
+needs (the outer loss is a function of inner-loop gradient steps, and its
+exact derivative has to flow through those steps).  Without
+``create_graph`` the gradient is a bare float64 array and the rule runs the
+same numpy operations, in the same order, on the operands' arrays: no
+``Tensor`` is built until :func:`grad` wraps its results as fresh leaves,
+and the results are bitwise those of the graph mode.
 
 The engine is deliberately tiny: float64 numpy arrays, a few primitives,
 no views, no in-place ops.  Everything a two-layer tanh network needs, and
@@ -18,8 +24,10 @@ one graph per task.
 Nodes whose backward rule needs their own output (``exp``, ``tanh``,
 ``recip``) hold it through a weak reference: a closure over the node itself
 would make every graph a reference cycle, freed only by the cyclic garbage
-collector.  The node is alive whenever its rule runs: ``grad`` holds it, and
-the gradient nodes the rule builds hold it through their ``_parents``.
+collector.  The node is alive whenever its rule runs, because ``grad`` holds
+it.  With ``create_graph`` the gradient nodes the rule builds hold it after
+that through their ``_parents``; without it the rule reads only its
+``.data`` and nothing it returns refers to the node.
 """
 
 from __future__ import annotations
@@ -30,7 +38,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-Vjp = Callable[["Tensor"], tuple["Tensor | None", ...]]
+# A gradient flowing through a backward rule: a graph node under
+# ``grad(..., create_graph=True)``, a bare float64 array otherwise.
+Gradient = "Tensor | np.ndarray"
+Vjp = Callable[[Gradient], tuple["Gradient | None", ...]]
 
 # Creation order of tensors.  A node is always created after its parents, so
 # a node older than a tensor cannot depend on it.
@@ -106,8 +117,8 @@ class Tensor:
             a.data * b.data,
             _parents=(a, b),
             _vjp=lambda g: (
-                _sum_to(g * b, a.shape) if a._needs else None,
-                _sum_to(g * a, b.shape) if b._needs else None,
+                _sum_to(g * _like(g, b), a.shape) if a._needs else None,
+                _sum_to(g * _like(g, a), b.shape) if b._needs else None,
             ),
         )
 
@@ -140,8 +151,8 @@ class Tensor:
             a.data @ b.data,
             _parents=(a, b),
             _vjp=lambda g: (
-                _sum_to(g @ b.mT, a.shape) if a._needs else None,
-                _sum_to(a.mT @ g, b.shape) if b._needs else None,
+                _sum_to(g @ _like(g, b).mT, a.shape) if a._needs else None,
+                _sum_to(_like(g, a).mT @ g, b.shape) if b._needs else None,
             ),
         )
 
@@ -157,19 +168,19 @@ class Tensor:
     def recip(self) -> "Tensor":
         out = Tensor(1.0 / self.data, _parents=(self,))
         ref = weakref.ref(out)
-        out._vjp = lambda g: (-g * ref() * ref(),)
+        out._vjp = lambda g: (-g * _like(g, ref()) * _like(g, ref()),)
         return out
 
     def exp(self) -> "Tensor":
         out = Tensor(np.exp(self.data), _parents=(self,))
         ref = weakref.ref(out)
-        out._vjp = lambda g: (g * ref(),)
+        out._vjp = lambda g: (g * _like(g, ref()),)
         return out
 
     def tanh(self) -> "Tensor":
         out = Tensor(np.tanh(self.data), _parents=(self,))
         ref = weakref.ref(out)
-        out._vjp = lambda g: (g * (1.0 - ref() * ref()),)
+        out._vjp = lambda g: (g * (1.0 - _like(g, ref()) * _like(g, ref())),)
         return out
 
     # --- shape functions ---
@@ -186,21 +197,19 @@ class Tensor:
 
     def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
         old = self.shape
-        data = np.empty(shape)
-        data[...] = self.data
-        return Tensor(data, _parents=(self,), _vjp=lambda g: (_sum_to(g, old),))
+        return Tensor(_filled(shape, self.data), _parents=(self,), _vjp=lambda g: (_sum_to(g, old),))
 
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         x = self
         shape = x.shape
 
-        def vjp(g: "Tensor") -> tuple["Tensor"]:
+        def vjp(g: Gradient) -> tuple[Gradient]:
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 axes = tuple(a % len(shape) for a in axes)
                 kept = [1 if i in axes else d for i, d in enumerate(shape)]
                 g = g.reshape(kept)
-            return (g.broadcast_to(shape),)
+            return (g.broadcast_to(shape) if isinstance(g, Tensor) else _filled(shape, g),)
 
         return Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,), _vjp=vjp)
 
@@ -213,7 +222,25 @@ def zeros_like(t: Tensor) -> Tensor:
     return Tensor(np.zeros(t.shape))
 
 
-def _sum_to(g: Tensor, shape: tuple[int, ...]) -> Tensor:
+def _like(g: Gradient, x: Tensor) -> Gradient:
+    """Operand ``x`` of a backward rule, in the mode of its gradient ``g``:
+    the node itself when the rule records a graph, its array when not."""
+    return x if isinstance(g, Tensor) else x.data
+
+
+def _filled(shape: tuple[int, ...], value) -> np.ndarray:
+    """A fresh array of ``shape`` holding ``value`` broadcast to it.
+
+    Not an ``np.broadcast_to`` view: that is read-only, and ``np.matmul``
+    rounds differently on its zero strides, so the bare backward pass would
+    no longer match the graph one bit for bit.
+    """
+    out = np.empty(shape)
+    out[...] = value
+    return out
+
+
+def _sum_to(g: Gradient, shape: tuple[int, ...]) -> Gradient:
     """Reduce a gradient back to ``shape`` after numpy-style broadcasting."""
     if g.shape == shape:
         return g
@@ -256,8 +283,10 @@ def grad(
     """Gradients of ``output`` with respect to each tensor in ``inputs``.
 
     With ``create_graph=True`` the returned tensors stay attached to the
-    graph, so they can be differentiated again; otherwise they are detached
-    constants.  Inputs that ``output`` does not depend on get zeros.
+    graph, so they can be differentiated again.  Otherwise the backward
+    rules run on bare arrays and record nothing, and each result is a new
+    leaf constant with the values the graph mode would give.  Inputs that
+    ``output`` does not depend on get zeros.
 
     Back-propagation runs only through nodes that depend on an input: an
     inner-loop step asks for the gradient at the current parameters, and
@@ -277,7 +306,7 @@ def grad(
             if p in wanted or p in through:
                 through.add(node)
                 break
-    gmap: dict[Tensor, Tensor] = {output: grad_output}
+    gmap: dict[Tensor, Gradient] = {output: grad_output if create_graph else grad_output.data}
     for node in reversed(order):
         g = gmap.get(node)
         if g is None or node not in through:
@@ -292,5 +321,7 @@ def grad(
         g = gmap.get(inp)
         if g is None:
             g = zeros_like(inp)
-        results.append(g if create_graph else g.detach())
+        elif not create_graph:
+            g = Tensor(g)
+        results.append(g)
     return results

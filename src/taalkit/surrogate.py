@@ -170,7 +170,8 @@ def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
 
     The loss is one graph node.  Its backward rule, d/dz = -w_{y_t} / T *
     (onehot - softmax(z)) per frame, zero where the floor holds, is written
-    in Tensor operations, so it can be differentiated again.  The softmax
+    in Tensor operations, so it can be differentiated again; when ``grad``
+    records no graph it runs the same operations on arrays.  The softmax
     subtracts a detached row maximum c, which is exact at every order:
     exp(z - c) / sum(exp(z - c)) does not depend on c.
     """
@@ -202,10 +203,16 @@ def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     value = (picked * frame_weights).sum(axis=-1) * (-1.0 / t)
     coef = (frame_weights * (picked > floor) * (-1.0 / t))[..., None]
 
-    def vjp(g: Tensor) -> tuple[Tensor]:
-        e = (logits - shift).exp()
-        softmax = e * e.sum(axis=-1, keepdims=True).recip()
-        return ((Tensor(onehot) - softmax) * coef * g.reshape(g.shape + (1, 1)),)
+    def vjp(g: Tensor | np.ndarray) -> tuple[Tensor | np.ndarray]:
+        if isinstance(g, Tensor):
+            e = (logits - shift).exp()
+            r = e.sum(axis=-1, keepdims=True).recip()
+            y = Tensor(onehot)
+        else:  # no graph is recorded: the same operations on arrays
+            e = np.exp(z - shift)
+            r = 1.0 / e.sum(axis=-1, keepdims=True)
+            y = onehot
+        return ((y - e * r) * coef * g.reshape(g.shape + (1, 1)),)
 
     return Tensor(value, _parents=(logits,), _vjp=vjp)
 

@@ -5,10 +5,19 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import central_difference
 from taalkit.autodiff import Tensor, grad
-from taalkit.surrogate import PROB_FLOOR, wce_loss
+from taalkit.maml import inner_adapt
+from taalkit.surrogate import (
+    PROB_FLOOR,
+    SurrogateModel,
+    class_weights_from_labels,
+    head_logits,
+    wce_loss,
+)
 
 
 def t(data, rg=True):
@@ -247,6 +256,154 @@ class TestHigherOrder:
             nodes = [weakref.ref(n) for n in (th, ex, rc, out)]
             del th, ex, rc, out, g, g2
             assert [n() is None for n in nodes] == [True] * 4
+        finally:
+            gc.enable()
+
+
+def random_expression(data):
+    """A random expression over every primitive and the loss node.
+
+    Returns the output, the inputs to differentiate it by (every leaf, one
+    leaf it does not depend on and maybe an interior node) and, for a
+    non-scalar output or on a coin flip, an explicit ``grad_output``.
+    Values stay bounded, so every gradient is finite.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inputs = []
+
+    def leaf(shape):
+        x = t(rng.uniform(-1.0, 1.0, size=shape))
+        inputs.append(x)
+        return x
+
+    def broadcastable(shape):
+        """A leaf shape that broadcasts against ``shape``."""
+        drop = data.draw(st.integers(0, len(shape)))
+        return tuple(1 if data.draw(st.booleans()) else d for d in shape[drop:])
+
+    dims = st.integers(1, 3)
+    shape = tuple(data.draw(dims) for _ in range(data.draw(st.integers(2, 3))))
+    out = leaf(shape)
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(st.sampled_from(
+            ["add", "sub", "rsub", "neg", "mul", "square", "matmul", "rmatmul", "mT",
+             "recip", "exp", "tanh", "reshape", "broadcast_to", "sum", "wce"]
+        ))
+        if op == "add":
+            out = out + leaf(broadcastable(out.shape))
+        elif op == "sub":
+            out = out - leaf(broadcastable(out.shape))
+        elif op == "rsub":
+            out = leaf(broadcastable(out.shape)) - out if data.draw(st.booleans()) else 1.0 - out
+        elif op == "neg":
+            out = -out
+        elif op == "mul":
+            out = out * leaf(broadcastable(out.shape)) if data.draw(st.booleans()) else 0.5 * out
+        elif op == "square":  # a shared subexpression
+            out = out * out
+        elif op == "matmul" and out.ndim >= 2:
+            lead = out.shape[:-2] if data.draw(st.booleans()) else ()
+            out = out @ leaf(lead + (out.shape[-1], data.draw(dims)))
+        elif op == "rmatmul" and out.ndim >= 2:
+            out = leaf((data.draw(dims), out.shape[-2])) @ out
+        elif op == "mT" and out.ndim >= 2:
+            out = out.mT
+        elif op == "recip":
+            out = (out * out + 1.0).recip()
+        elif op == "exp":  # tanh keeps the exponent bounded
+            out = out.tanh().exp()
+        elif op == "tanh":
+            out = out.tanh()
+        elif op == "reshape":
+            out = out.reshape(out.shape[::-1])
+        elif op == "broadcast_to":
+            out = out.broadcast_to((data.draw(dims),) + out.shape)
+        elif op == "sum" and out.ndim >= 1:
+            axis = data.draw(st.one_of(
+                st.none(), st.integers(-out.ndim, out.ndim - 1),
+                st.sets(st.integers(0, out.ndim - 1), min_size=1).map(tuple),
+            ))
+            out = out.sum(axis=axis, keepdims=data.draw(st.booleans()))
+        elif op == "wce" and out.ndim in (2, 3):
+            # A large scale puts some frames at the probability floor.
+            logits = out * data.draw(st.sampled_from([1.0, 100.0]))
+            *lead, frames, classes = out.shape
+            labels = rng.integers(0, classes, size=(*lead, frames))
+            out = wce_loss(logits, labels, rng.uniform(0.5, 2.0, size=(*lead, classes)))
+        if data.draw(st.integers(0, 9)) == 0:
+            inputs.append(out)
+    inputs.insert(data.draw(st.integers(0, len(inputs))), t(rng.normal(size=(2,))))
+    grad_output = None
+    if out.size != 1 or data.draw(st.booleans()):
+        grad_output = Tensor(rng.normal(size=out.shape))
+    return out, inputs, grad_output
+
+
+class TestBareBackward:
+    """Without ``create_graph`` the backward rules run on bare arrays."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_graph_backward_bit_for_bit(self, data):
+        out, inputs, grad_output = random_expression(data)
+        bare = grad(out, inputs, grad_output=grad_output)
+        graph = [g.detach() for g in grad(out, inputs, grad_output=grad_output, create_graph=True)]
+        for b, g, x in zip(bare, graph, inputs):
+            assert b.shape == g.shape == x.shape
+            assert b.data.dtype == g.data.dtype == np.float64
+            assert np.array_equal(b.data, g.data)
+            assert not b.requires_grad and b.data.flags.writeable
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_loss_node_equals_graph_backward(self, batched):
+        rng = np.random.default_rng(5)
+        lead = (3,) if batched else ()
+        z = t(rng.normal(scale=30.0, size=(*lead, 6, 4)))
+        labels = rng.integers(0, 4, size=(*lead, 6))
+        loss = wce_loss(z, labels, rng.uniform(0.5, 2.0, size=(*lead, 4)))
+        go = Tensor(rng.normal(size=loss.shape))
+        (bare,) = grad(loss, [z], grad_output=go)
+        (graph,) = grad(loss, [z], grad_output=go, create_graph=True)
+        assert np.array_equal(bare.data, graph.data)
+        assert (bare.data == 0.0).all(axis=-1).any()  # some frame sits at the floor
+
+    def _support(self, seed=0):
+        # The maml-demo configuration: 20 features, hidden 32, 6 + 1 classes
+        # and 32 support frames.
+        rng = np.random.default_rng(seed)
+        model = SurrogateModel.create(20, 32, 7, rng)
+        h = model.feature_map.apply(rng.normal(size=(32, 20)))
+        y = rng.integers(0, 7, 32)
+        return h, y, model.head, class_weights_from_labels(y, 7)
+
+    def test_first_order_grad_builds_no_graph(self, monkeypatch):
+        h, y, head, w = self._support()
+        loss = wce_loss(head_logits(h, head), y, w)
+        built = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        grads = grad(loss, head)
+        monkeypatch.undo()
+        # One tensor per result, plus the default grad_output.
+        assert len(built) <= len(head) + 1
+        for g, p in zip(grads, head):
+            assert g.shape == p.shape
+            assert not g.requires_grad and g.data.flags.writeable
+
+    def test_first_order_adaptation_is_freed_without_the_cycle_collector(self):
+        h, y, head, w = self._support(seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            path = inner_adapt(h, y, head, w, alpha=0.05, steps=30, second_order=False)
+            assert len(path) == 31
+            del path
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
