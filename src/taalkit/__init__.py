@@ -25,7 +25,6 @@ from .alignment import (
     batch_nw_scores,
     identify_tala_nw,
     lcs_baseline_score,
-    nw_align,
     nw_score,
     sliding_match_score,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "meta_test_adapt",
     "meta_train",
     "meta_update",
-    "nw_align",
     "nw_score",
     "onset_f1",
     "onsets_from_frames",

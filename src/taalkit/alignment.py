@@ -7,6 +7,18 @@ and the best one kept.  An m-stroke frame slides over the transcription;
 per-offset best scores are grouped into blocks of m offsets whose maxima
 are averaged into the final matching score, which tolerates missing or
 spurious strokes in individual frames.
+
+Aligning one window costs m^3 DP cells, and on noisy input almost every
+window is distinct, so long inputs bound each window first.  Against a
+rotation, an alignment with a matches, s mismatches and g gap pairs has
+a + s + g = m and scores 2a - m - 3g.  Without gaps, a is at most D0, the
+best positional match count over the rotations, and that gap-free
+alignment scores exactly LB = 2*D0 - m.  With gaps, a is at most H, the
+multiset overlap of the window with the theka, so the score is at most
+UB = max(LB, 2H - m - 3).  A block's largest LB is a score that block
+reaches; a window whose UB is no more than that in every block containing
+it cannot change a block maximum, so only the other windows are aligned
+and the block maxima stay exact.
 """
 
 from __future__ import annotations
@@ -21,8 +33,12 @@ from .talas import StrokeLabel, StrokeSequence, TalaDefinition, builtin_talas, s
 MATCH_SCORE = 1
 MISMATCH_SCORE = -1
 GAP_PENALTY = -2
-# DP cells (pairs x m x w) per batch_nw_scores chunk; bounds its working set.
-DP_CHUNK_CELLS = 1 << 20
+# DP cells (pairs x m x w) per batch_nw_scores chunk; bounds its working set
+# of three bytes a cell (the int16 gains and their boolean comparison).
+DP_CHUNK_CELLS = 1 << 19
+# Fewest distinct windows for which bounding them pays for itself; fewer
+# windows are all aligned.
+PRUNE_MIN_WINDOWS = 64
 
 
 def _nw_score_matrix(x_ref, y) -> np.ndarray:
@@ -54,33 +70,6 @@ def nw_score(x_ref, y) -> int:
     return int(_nw_score_matrix(x_ref, y)[-1, -1])
 
 
-def nw_align(x_ref, y) -> tuple[int, list[tuple[str | None, str | None]]]:
-    """Score plus one optimal alignment recovered by backtracking.
-
-    Gaps appear as ``None``.  The sum of per-column scores along the
-    returned path equals ``nw_score(x_ref, y)`` by construction.
-    """
-    xs, ys = stroke_names(x_ref), stroke_names(y)
-    S = _nw_score_matrix(xs, ys)
-    i, j = len(xs), len(ys)
-    path: list[tuple[str | None, str | None]] = []
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            sub = MATCH_SCORE if xs[i - 1] == ys[j - 1] else MISMATCH_SCORE
-            if S[i, j] == S[i - 1, j - 1] + sub:
-                path.append((xs[i - 1], ys[j - 1]))
-                i, j = i - 1, j - 1
-                continue
-        if i > 0 and S[i, j] == S[i - 1, j] + GAP_PENALTY:
-            path.append((xs[i - 1], None))
-            i -= 1
-        else:
-            path.append((None, ys[j - 1]))
-            j -= 1
-    path.reverse()
-    return int(S[-1, -1]), path
-
-
 def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
     """Alignment scores for every (reference row, window row) pair.
 
@@ -97,12 +86,29 @@ def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
     """
     R, m = ref_ids.shape
     W, w = win_ids.shape
-    step = max(1, DP_CHUNK_CELLS // max(1, R * m * w))
+    step = _chunk_windows(ref_ids, win_ids)
     out = np.empty((R, W), dtype=np.int64)
     for start in range(0, W, step):
         out[:, start:start + step] = _nw_last_row(ref_ids, win_ids[start:start + step])
     out += GAP_PENALTY * w + (MISMATCH_SCORE - GAP_PENALTY) * m
     return out
+
+
+def _chunk_windows(ref_ids: np.ndarray, win_ids: np.ndarray) -> int:
+    """Windows per chunk, so that a chunk holds about ``DP_CHUNK_CELLS`` cells."""
+    return max(1, DP_CHUNK_CELLS // max(1, ref_ids.size * win_ids.shape[1]))
+
+
+def _best_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
+    """Best score over the reference rows for each window row, as (W,) int64.
+
+    Each chunk is reduced as soon as it is scored, so no (R, W) matrix is held.
+    """
+    step = _chunk_windows(ref_ids, win_ids)
+    best = np.empty(len(win_ids), dtype=np.int64)
+    for start in range(0, len(win_ids), step):
+        best[start:start + step] = batch_nw_scores(ref_ids, win_ids[start:start + step]).max(axis=0)
+    return best
 
 
 def _nw_last_row(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
@@ -191,7 +197,9 @@ def sliding_match_score(
     available alignment and are flagged ``short_input``.
 
     Each distinct window is aligned once and its score shared by every
-    offset where it occurs, so repetitive input costs little.
+    offset where it occurs, so repetitive input costs little.  With at least
+    ``PRUNE_MIN_WINDOWS`` distinct windows, only those whose bounds (see the
+    module docstring) leave a block maximum open are aligned.
     """
     names = stroke_names(transcribed)
     if not names:
@@ -217,10 +225,62 @@ def sliding_match_score(
     windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)
     keys = np.ascontiguousarray(windows).view(np.dtype((np.void, m * dtype.itemsize))).ravel()
     distinct, inverse = np.unique(keys, return_inverse=True)
-    scores = batch_nw_scores(rotations, distinct.view(dtype).reshape(-1, m))  # (m rotations, distinct windows)
-    best_per_offset = scores.max(axis=0)[inverse]
-    block_maxima = np.maximum.reduceat(best_per_offset, np.arange(0, len(best_per_offset), m))
+    distinct = distinct.view(dtype).reshape(-1, m)
+    if len(distinct) < PRUNE_MIN_WINDOWS:
+        best = batch_nw_scores(rotations, distinct).max(axis=0)
+    else:
+        best = _pruned_scores(seq_ids, rotations, distinct, inverse)
+    block_maxima = np.maximum.reduceat(best[inverse], np.arange(0, len(inverse), m))
     return MatchResult(sigma_nw=float(np.mean(block_maxima)), block_maxima=tuple(block_maxima.tolist()))
+
+
+def _window_sums(flags: np.ndarray, m: int) -> np.ndarray:
+    """Column sums of ``flags`` over every ``m`` consecutive rows.
+
+    The running sums wrap around in the smallest unsigned type that holds
+    ``m``; their differences, at most ``m``, are still exact.
+    """
+    dtype = np.min_scalar_type(m)
+    sums = np.zeros((len(flags) + 1, flags.shape[1]), dtype=dtype)
+    np.cumsum(flags, axis=0, dtype=dtype, out=sums[1:])
+    return sums[m:] - sums[:-m]
+
+
+def _window_bounds(seq_ids: np.ndarray, rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the best score of the window at each offset.
+
+    Row ``j`` of the tiled rotations is rotation ``j mod m``, so column ``t``
+    summed over the window at offset ``i`` counts its positional matches
+    with rotation ``(i + t) mod m``; the best column is ``D0``.  The multiset
+    overlap ``H`` counts each theka stroke at most as often as the theka has it.
+    """
+    m = rotations.shape[1]
+    quota = np.bincount(rotations[0])
+    d0 = _window_sums(seq_ids[:, None] == np.resize(rotations, (len(seq_ids), m)), m).max(axis=1)
+    counts = _window_sums(seq_ids[:, None] == np.arange(len(quota)), m)
+    overlap = np.minimum(counts, quota.astype(counts.dtype)).sum(axis=1, dtype=np.int64)
+    lower = 2 * d0.astype(np.int64) - m
+    return lower, np.maximum(lower, 2 * overlap - m - 3)
+
+
+def _pruned_scores(
+    seq_ids: np.ndarray, rotations: np.ndarray, distinct: np.ndarray, inverse: np.ndarray
+) -> np.ndarray:
+    """Per distinct window, a score that leaves every block maximum exact.
+
+    A block's largest lower bound is a score some window in it reaches.  A
+    window whose upper bound is no more than that in every block containing
+    it cannot change a maximum, so it keeps its lower bound; only the rest
+    are aligned.
+    """
+    m = rotations.shape[1]
+    lower, upper = _window_bounds(seq_ids, rotations)
+    best = np.empty(len(distinct), dtype=np.int64)
+    best[inverse] = lower
+    known = np.maximum.reduceat(lower, np.arange(0, len(lower), m))
+    rest = np.unique(inverse[upper > np.repeat(known, m)[:len(upper)]])
+    best[rest] = _best_nw_scores(rotations, distinct[rest])
+    return best
 
 
 def identify_tala_nw(

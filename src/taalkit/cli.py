@@ -48,11 +48,18 @@ class InputError(Exception):
     """User-correctable problem: bad file, bad flag value, bad config."""
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"--out: {e}") from e
+
+
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(Path(out), text)
 
 
 def _json_dumps(obj) -> str:
@@ -123,6 +130,8 @@ def _parse_tala_list(text: str) -> list[str]:
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     talas = _parse_tala_list(args.talas)
     p_subs = _parse_float_list(args.p_sub, "--p-sub")
     p_dels = _parse_float_list(args.p_del, "--p-del")
@@ -263,18 +272,22 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
         rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, 99])),
     )
 
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"--out: {e}") from e
+
     source = synth_task_source(task_cfg)
     train = meta_train(model, source, cfg)
     test_tasks = take_tasks(source, args.n_test_tasks)
     comparison = paired_few_shot_eval(model, test_tasks, cfg, baseline_seed=cfg.seed)
     trace = meta_test_adapt(model, test_tasks[0], cfg).trace
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     curve_lines = [CURVE_HEADER] + [f"{e},{loss:.6f}" for e, loss in train.curve]
-    (out_dir / "train_curve.csv").write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
+    _write(out_dir / "train_curve.csv", "\n".join(curve_lines) + "\n")
     trace_lines = [TRACE_HEADER] + [f"{s},{sup:.6f},{q:.6f}" for s, sup, q in trace]
-    (out_dir / "adapt_trace.csv").write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+    _write(out_dir / "adapt_trace.csv", "\n".join(trace_lines) + "\n")
 
     summary = {
         "config": asdict(cfg),

@@ -14,6 +14,7 @@ meta-training cannot touch it by construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
@@ -54,8 +55,10 @@ class MamlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("learning rates must be non-negative")
+        if not (0 <= self.alpha < float("inf") and 0 <= self.beta < float("inf")):
+            raise ValueError("learning rates must be non-negative and finite")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.inner_steps < 0 or self.epochs < 0 or self.adapt_iters < 0:
             raise ValueError("step counts must be non-negative")
         if self.tasks_per_batch < 1:

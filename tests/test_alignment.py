@@ -14,11 +14,13 @@ from taalkit.alignment import (
     GAP_PENALTY,
     MATCH_SCORE,
     MISMATCH_SCORE,
+    PRUNE_MIN_WINDOWS,
     MatchResult,
+    _nw_score_matrix,
+    _window_bounds,
     batch_nw_scores,
     identify_tala_nw,
     lcs_baseline_score,
-    nw_align,
     nw_score,
     sliding_match_score,
 )
@@ -51,6 +53,33 @@ def brute_nw(x, y):
 
     rec(0, 0, 0)
     return best[0]
+
+
+def nw_align(x_ref, y):
+    """Score plus one optimal alignment recovered by backtracking.
+
+    Gaps appear as ``None``.  The sum of per-column scores along the
+    returned path equals ``nw_score(x_ref, y)`` by construction.
+    """
+    xs, ys = list(x_ref), list(y)
+    S = _nw_score_matrix(xs, ys)
+    i, j = len(xs), len(ys)
+    path = []
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            sub = MATCH_SCORE if xs[i - 1] == ys[j - 1] else MISMATCH_SCORE
+            if S[i, j] == S[i - 1, j - 1] + sub:
+                path.append((xs[i - 1], ys[j - 1]))
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and S[i, j] == S[i - 1, j] + GAP_PENALTY:
+            path.append((xs[i - 1], None))
+            i -= 1
+        else:
+            path.append((None, ys[j - 1]))
+            j -= 1
+    path.reverse()
+    return int(S[-1, -1]), path
 
 
 def reference_batch_nw_scores(ref_ids, win_ids):
@@ -105,6 +134,28 @@ def reference_sliding_match_score(names, tala, gharana_equiv=True):
     return float(np.mean(block_maxima)), block_maxima, False
 
 
+def _symbol_ids(names, tala, gharana_equiv):
+    """Theka rotations and input ids, theka strokes numbered first."""
+    ids = dict(tala.theka_symbol_ids)
+    canon = [tala.canonical_stroke(n) if gharana_equiv else n for n in names]
+    return tala.theka_rotations, np.array([ids.setdefault(n, len(ids)) for n in canon])
+
+
+def unpruned_sliding_match_score(names, tala, gharana_equiv=True):
+    """The matcher before window pruning: every distinct window is aligned."""
+    rotations, seq_ids = _symbol_ids(names, tala, gharana_equiv)
+    m = tala.matra_count
+    if len(names) < m:
+        best = int(batch_nw_scores(rotations, seq_ids[None, :]).max())
+        return MatchResult(sigma_nw=float(best), block_maxima=(best,), short_input=True)
+    distinct, inverse = np.unique(
+        np.lib.stride_tricks.sliding_window_view(seq_ids, m), axis=0, return_inverse=True
+    )
+    best_per_offset = batch_nw_scores(rotations, distinct).max(axis=0)[inverse.ravel()]
+    block_maxima = np.maximum.reduceat(best_per_offset, np.arange(0, len(best_per_offset), m))
+    return MatchResult(sigma_nw=float(np.mean(block_maxima)), block_maxima=tuple(block_maxima.tolist()))
+
+
 def _custom_tala(name, theka, vibhags, equivalents):
     vocab = make_vocabulary(list(dict.fromkeys(theka)))
     by_name = {s.name: s for s in vocab}
@@ -130,12 +181,12 @@ TOKEN_POOL = (*default_insertion_vocabulary(), "Ta", "Ka", "Ge", "Zzz", "Qq")
 
 
 @st.composite
-def noisy_renderings(draw):
+def noisy_renderings(draw, min_cycles=1, max_cycles=4):
     """A corrupted built-in performance, possibly shorter than one cycle."""
     tala = draw(st.sampled_from(builtin_talas()))
     spec = PerformanceSpec(
         tala=tala.name,
-        cycles=draw(st.integers(1, 4)),
+        cycles=draw(st.integers(min_cycles, max_cycles)),
         start_offset=draw(st.integers(0, tala.matra_count - 1)),
         gharana_variant=draw(st.booleans()),
     )
@@ -154,6 +205,12 @@ stroke_inputs = st.one_of(
     noisy_renderings(),
     st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=40).map(tuple),
     st.lists(st.sampled_from(("Ta", "Na", "Zzz", "Dha")), min_size=1, max_size=40).map(tuple),
+)
+# Long enough that most draws have PRUNE_MIN_WINDOWS distinct windows or more.
+long_stroke_inputs = st.one_of(
+    noisy_renderings(min_cycles=6, max_cycles=20),
+    st.lists(st.sampled_from(TOKEN_POOL), min_size=80, max_size=300).map(tuple),
+    st.lists(st.sampled_from(("Ta", "Na", "Zzz", "Dha")), min_size=80, max_size=300).map(tuple),
 )
 
 
@@ -358,6 +415,47 @@ class TestSlidingMatchOracle:
             r = sliding_match_score(names, tala)
             assert (r.sigma_nw, r.block_maxima, r.short_input) == reference_sliding_match_score(names, tala)
         assert sliding_match_score(names, IMPOSTOR_TINTAL).sigma_nw == 8.0
+
+
+class TestWindowPruning:
+    """Bounded windows against the matcher that aligns every window."""
+
+    @given(stroke_inputs | long_stroke_inputs, st.sampled_from(ORACLE_TALAS), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_unpruned_matcher(self, names, tala, gharana_equiv):
+        assert sliding_match_score(names, tala, gharana_equiv=gharana_equiv) == unpruned_sliding_match_score(
+            names, tala, gharana_equiv
+        )
+
+    @given(stroke_inputs | long_stroke_inputs, st.sampled_from(ORACLE_TALAS), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_hold_for_every_window(self, names, tala, gharana_equiv):
+        m = tala.matra_count
+        if len(names) < m:
+            names = names * m
+        rotations, seq_ids = _symbol_ids(names, tala, gharana_equiv)
+        windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)
+        score = reference_batch_nw_scores(rotations, windows).max(axis=0)
+        lower, upper = _window_bounds(seq_ids, rotations)
+        assert np.all(lower <= score) and np.all(score <= upper)
+        # The lower bound is the best gap-free alignment, which is reachable.
+        positional = (windows[:, None, :] == rotations[None, :, :]).sum(axis=2).max(axis=1)
+        assert np.array_equal(lower, 2 * positional - m)
+
+    def test_prunes_only_many_distinct_windows(self, monkeypatch):
+        import taalkit.alignment as alignment
+
+        pruned = []
+        original = alignment._pruned_scores
+        monkeypatch.setattr(
+            alignment, "_pruned_scores", lambda *a: pruned.append(len(a[2])) or original(*a)
+        )
+        clean = generate_performance(PerformanceSpec(tala="Tintal", cycles=15)).names
+        for names in (clean, clean[:35]):
+            identify_tala_nw(names)
+        assert pruned == []
+        identify_tala_nw(_noisy_tintal(240))
+        assert len(pruned) == 4 and min(pruned) >= PRUNE_MIN_WINDOWS
 
 
 def _noisy_tintal(n):

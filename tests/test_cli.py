@@ -354,6 +354,12 @@ class TestExitCodes:
             ["eval", "--p-sub", "0.6", "--p-del", "0.5"],
             DEMO_ARGS + ["--hidden", "0"],
             DEMO_ARGS + ["--hidden", "-1"],
+            ["eval", "--seed", "-1"],
+            DEMO_ARGS + ["--seed", "-1"],
+            DEMO_ARGS + ["--alpha", "nan"],
+            DEMO_ARGS + ["--alpha", "inf"],
+            DEMO_ARGS + ["--beta", "nan"],
+            DEMO_ARGS + ["--beta", "inf"],
         ],
     )
     def test_bad_value_is_exit_2_with_one_line(self, argv, tmp_path, capsys):
@@ -364,3 +370,28 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [1.5, "7", -1])
+    def test_bad_config_seed_is_exit_2(self, seed, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        assert main(DEMO_ARGS[:1] + ["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["eval", "--trials", "1"], "{dir}"),
+            (["eval", "--trials", "1"], "{dir}/missing/x.csv"),
+            (["bench", "--repeats", "1"], "{dir}"),
+            (DEMO_ARGS, "{file}"),
+        ],
+        ids=["eval-dir", "eval-missing-parent", "bench-dir", "maml-demo-file"],
+    )
+    def test_unwritable_out_is_exit_2(self, argv, out, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("", encoding="utf-8")
+        assert main(argv + ["--out", out.format(dir=tmp_path, file=a_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.count("\n") == 1

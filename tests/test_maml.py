@@ -78,6 +78,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             MamlConfig(epochs=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", float("nan")), ("alpha", float("inf")), ("beta", float("nan")), ("beta", float("inf")),
+         ("seed", -1), ("seed", 1.5), ("seed", "7")],
+    )
+    def test_rejects_non_finite_rates_and_bad_seeds(self, field, value):
+        with pytest.raises(ValueError, match=field if field == "seed" else "learning rates"):
+            MamlConfig(**{field: value})
+
     def test_with_overrides(self):
         cfg = dataclasses.replace(MamlConfig(), alpha=0.5, epochs=7)
         assert cfg.alpha == 0.5
