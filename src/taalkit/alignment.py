@@ -8,17 +8,16 @@ per-offset best scores are grouped into blocks of m offsets whose maxima
 are averaged into the final matching score, which tolerates missing or
 spurious strokes in individual frames.
 
-Aligning one window costs m^3 DP cells, and on noisy input almost every
-window is distinct, so long inputs bound each window first.  Against a
-rotation, an alignment with a matches, s mismatches and g gap pairs has
-a + s + g = m and scores 2a - m - 3g.  Without gaps, a is at most D0, the
-best positional match count over the rotations, and that gap-free
-alignment scores exactly LB = 2*D0 - m.  With gaps, a is at most H, the
-multiset overlap of the window with the theka, so the score is at most
-UB = max(LB, 2H - m - 3).  A block's largest LB is a score that block
-reaches; a window whose UB is no more than that in every block containing
-it cannot change a block maximum, so only the other windows are aligned
-and the block maxima stay exact.
+Aligning one window costs m^3 DP cells, so every window is bounded
+before any is aligned.  Against a rotation, an alignment with a matches,
+s mismatches and g gap pairs has a + s + g = m and scores 2a - m - 3g.
+Without gaps, a is at most D0, the best positional match count over the
+rotations, and that gap-free alignment scores exactly LB = 2*D0 - m.
+With gaps, a is at most H, the multiset overlap of the window with the
+theka, so the score is at most UB = max(LB, 2H - m - 3).  A block's
+largest LB is a score that block reaches; a window whose UB is no more
+than that cannot change the block's maximum, so it keeps its LB, only the
+other windows are aligned, and the block maxima stay exact.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ GAP_PENALTY = -2
 # DP cells (pairs x m x w) per batch_nw_scores chunk; bounds its working set
 # of three bytes a cell (the int16 gains and their boolean comparison).
 DP_CHUNK_CELLS = 1 << 19
-# Fewest distinct windows for which bounding them pays for itself; fewer
-# windows are all aligned.
-PRUNE_MIN_WINDOWS = 64
 
 
 def _nw_score_matrix(x_ref, y) -> np.ndarray:
@@ -196,10 +192,10 @@ def sliding_match_score(
     are averaged.  Inputs shorter than one cycle fall back to the single
     available alignment and are flagged ``short_input``.
 
-    Each distinct window is aligned once and its score shared by every
-    offset where it occurs, so repetitive input costs little.  With at least
-    ``PRUNE_MIN_WINDOWS`` distinct windows, only those whose bounds (see the
-    module docstring) leave a block maximum open are aligned.
+    Every window is bounded first (see the module docstring).  Only the
+    offsets whose upper bound exceeds their block's largest lower bound
+    stay open; each distinct window among them is aligned once, and every
+    other offset keeps its lower bound.  Clean input usually opens none.
     """
     names = stroke_names(transcribed)
     if not names:
@@ -220,17 +216,18 @@ def sliding_match_score(
         best = int(batch_nw_scores(rotations, seq_ids[None, :]).max())
         return MatchResult(sigma_nw=float(best), block_maxima=(best,), short_input=True)
 
-    # A void view turns each window into one sortable key, which np.unique
-    # handles far faster than its axis=0 mode.
-    windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)
-    keys = np.ascontiguousarray(windows).view(np.dtype((np.void, m * dtype.itemsize))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    distinct = distinct.view(dtype).reshape(-1, m)
-    if len(distinct) < PRUNE_MIN_WINDOWS:
-        best = batch_nw_scores(rotations, distinct).max(axis=0)
-    else:
-        best = _pruned_scores(seq_ids, rotations, distinct, inverse)
-    block_maxima = np.maximum.reduceat(best[inverse], np.arange(0, len(inverse), m))
+    # Each offset's score starts as its lower bound; only open offsets are aligned.
+    best, upper = _window_bounds(seq_ids, rotations)
+    starts = np.arange(0, len(best), m)
+    open_at = np.flatnonzero(upper > np.repeat(np.maximum.reduceat(best, starts), m)[:len(upper)])
+    if len(open_at):
+        # A void view turns each window into one sortable key, which
+        # np.unique handles far faster than its axis=0 mode.
+        windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)[open_at]
+        keys = windows.view(np.dtype((np.void, m * dtype.itemsize))).ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        best[open_at] = _best_nw_scores(rotations, distinct.view(dtype).reshape(-1, m))[inverse]
+    block_maxima = np.maximum.reduceat(best, starts)
     return MatchResult(sigma_nw=float(np.mean(block_maxima)), block_maxima=tuple(block_maxima.tolist()))
 
 
@@ -261,26 +258,6 @@ def _window_bounds(seq_ids: np.ndarray, rotations: np.ndarray) -> tuple[np.ndarr
     overlap = np.minimum(counts, quota.astype(counts.dtype)).sum(axis=1, dtype=np.int64)
     lower = 2 * d0.astype(np.int64) - m
     return lower, np.maximum(lower, 2 * overlap - m - 3)
-
-
-def _pruned_scores(
-    seq_ids: np.ndarray, rotations: np.ndarray, distinct: np.ndarray, inverse: np.ndarray
-) -> np.ndarray:
-    """Per distinct window, a score that leaves every block maximum exact.
-
-    A block's largest lower bound is a score some window in it reaches.  A
-    window whose upper bound is no more than that in every block containing
-    it cannot change a maximum, so it keeps its lower bound; only the rest
-    are aligned.
-    """
-    m = rotations.shape[1]
-    lower, upper = _window_bounds(seq_ids, rotations)
-    best = np.empty(len(distinct), dtype=np.int64)
-    best[inverse] = lower
-    known = np.maximum.reduceat(lower, np.arange(0, len(lower), m))
-    rest = np.unique(inverse[upper > np.repeat(known, m)[:len(upper)]])
-    best[rest] = _best_nw_scores(rotations, distinct[rest])
-    return best
 
 
 def identify_tala_nw(

@@ -91,11 +91,6 @@ class Tensor:
         flags = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flags})"
 
-    # --- graph control ---
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # --- arithmetic ---
 
     def __add__(self, other) -> "Tensor":

@@ -57,10 +57,10 @@ class MamlConfig:
     def __post_init__(self):
         if not (0 <= self.alpha < float("inf") and 0 <= self.beta < float("inf")):
             raise ValueError("learning rates must be non-negative and finite")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.inner_steps < 0 or self.epochs < 0 or self.adapt_iters < 0:
-            raise ValueError("step counts must be non-negative")
+        for name in ("seed", "inner_steps", "epochs", "adapt_iters", "tasks_per_batch", "order"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.tasks_per_batch < 1:
             raise ValueError("tasks_per_batch must be positive")
         if self.order not in (1, 2):

@@ -86,13 +86,8 @@ class StrokeSequence:
     def from_names(cls, names: Iterable[str], onset_times: Sequence[float] | None = None) -> "StrokeSequence":
         """Build a sequence from raw tokens, assigning ids by first appearance."""
         names = list(names)
-        ids: dict[str, int] = {}
-        strokes = []
-        for n in names:
-            if n not in ids:
-                ids[n] = len(ids)
-            strokes.append(StrokeLabel(ids[n], n))
-        return cls(tuple(strokes), None if onset_times is None else tuple(onset_times))
+        labels = {n: StrokeLabel(i, n) for i, n in enumerate(dict.fromkeys(names))}
+        return cls(tuple(map(labels.__getitem__, names)), None if onset_times is None else tuple(onset_times))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from taalkit.alignment import (
     GAP_PENALTY,
     MATCH_SCORE,
     MISMATCH_SCORE,
-    PRUNE_MIN_WINDOWS,
     MatchResult,
     _nw_score_matrix,
     _window_bounds,
@@ -206,7 +205,7 @@ stroke_inputs = st.one_of(
     st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=40).map(tuple),
     st.lists(st.sampled_from(("Ta", "Na", "Zzz", "Dha")), min_size=1, max_size=40).map(tuple),
 )
-# Long enough that most draws have PRUNE_MIN_WINDOWS distinct windows or more.
+# Many blocks per input, as on long files, where noise leaves offsets open.
 long_stroke_inputs = st.one_of(
     noisy_renderings(min_cycles=6, max_cycles=20),
     st.lists(st.sampled_from(TOKEN_POOL), min_size=80, max_size=300).map(tuple),
@@ -442,20 +441,39 @@ class TestWindowPruning:
         positional = (windows[:, None, :] == rotations[None, :, :]).sum(axis=2).max(axis=1)
         assert np.array_equal(lower, 2 * positional - m)
 
-    def test_prunes_only_many_distinct_windows(self, monkeypatch):
+    def test_clean_input_runs_no_dp(self, monkeypatch):
         import taalkit.alignment as alignment
 
-        pruned = []
-        original = alignment._pruned_scores
-        monkeypatch.setattr(
-            alignment, "_pruned_scores", lambda *a: pruned.append(len(a[2])) or original(*a)
-        )
+        calls = []
+        original = alignment.batch_nw_scores
+        monkeypatch.setattr(alignment, "batch_nw_scores", lambda *a: calls.append(a) or original(*a))
         clean = generate_performance(PerformanceSpec(tala="Tintal", cycles=15)).names
+        assert len(clean) == 240
         for names in (clean, clean[:35]):
-            identify_tala_nw(names)
-        assert pruned == []
-        identify_tala_nw(_noisy_tintal(240))
-        assert len(pruned) == 4 and min(pruned) >= PRUNE_MIN_WINDOWS
+            sliding_match_score(names, TINTAL)
+        assert calls == []
+
+    def test_aligns_distinct_windows_at_open_offsets(self, monkeypatch):
+        import taalkit.alignment as alignment
+
+        aligned = []
+        original = alignment._best_nw_scores
+        monkeypatch.setattr(
+            alignment, "_best_nw_scores", lambda *a: aligned.append(a[1].copy()) or original(*a)
+        )
+        names = _noisy_tintal(240)
+        sliding_match_score(names, TINTAL)
+        m = TINTAL.matra_count
+        rotations, seq_ids = _symbol_ids(names, TINTAL, True)
+        lower, upper = _window_bounds(seq_ids, rotations)
+        known = [lower[b:b + m].max() for b in range(0, len(lower), m)]
+        open_at = [i for i in range(len(lower)) if upper[i] > known[i // m]]
+        windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)
+        expected = {tuple(w) for w in windows[open_at].tolist()}
+        assert 0 < len(open_at) < len(lower)
+        assert len(aligned) == 1
+        got = [tuple(w) for w in aligned[0].tolist()]
+        assert len(got) == len(set(got)) and set(got) == expected
 
 
 def _noisy_tintal(n):

@@ -380,6 +380,18 @@ class TestExitCodes:
         assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 1.5), ("inner_steps", 2.5), ("adapt_iters", 1.5), ("tasks_per_batch", 2.0), ("order", 2.0),
+         ("order", True)],
+    )
+    def test_non_integer_config_count_is_exit_2(self, field, value, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}), encoding="utf-8")
+        assert main(DEMO_ARGS[:1] + ["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv, out",
         [
             (["eval", "--trials", "1"], "{dir}"),

@@ -87,6 +87,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=field if field == "seed" else "learning rates"):
             MamlConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("inner_steps", 2.5), ("epochs", 1.5), ("adapt_iters", 1.0), ("tasks_per_batch", 4.0),
+         ("order", 2.0), ("order", "1"), ("order", True), ("seed", False), ("epochs", -1)],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+            MamlConfig(**{field: value})
+
     def test_with_overrides(self):
         cfg = dataclasses.replace(MamlConfig(), alpha=0.5, epochs=7)
         assert cfg.alpha == 0.5

@@ -129,11 +129,33 @@ class TestVocabulary:
             StrokeLabel(id=0, name="")
 
 
+def reference_from_names(names):
+    """The original per-stroke loop: one StrokeLabel built for every stroke."""
+    ids = {}
+    strokes = []
+    for n in names:
+        if n not in ids:
+            ids[n] = len(ids)
+        strokes.append(StrokeLabel(ids[n], n))
+    return StrokeSequence(tuple(strokes))
+
+
 class TestStrokeSequence:
     def test_from_names_assigns_first_appearance_ids(self):
         seq = StrokeSequence.from_names(["Na", "Dha", "Na"])
         assert seq.names == ("Na", "Dha", "Na")
         assert [s.id for s in seq.strokes] == [0, 1, 0]
+
+    @given(st.lists(st.sampled_from(["Na", "Dha", "Tin", "Ta", "Ge", "Dha Dhin", ""]), max_size=30))
+    def test_from_names_equals_per_stroke_loop(self, names):
+        try:
+            expected = reference_from_names(names)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                StrokeSequence.from_names(names)
+            assert str(got.value) == str(e)
+        else:
+            assert StrokeSequence.from_names(names) == expected
 
     def test_onsets_must_match_length(self):
         with pytest.raises(ValueError):
