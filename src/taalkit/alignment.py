@@ -37,33 +37,14 @@ GAP_PENALTY = -2
 DP_CHUNK_CELLS = 1 << 19
 
 
-def _nw_score_matrix(x_ref, y) -> np.ndarray:
-    """Full (m+1)x(w+1) global-alignment score matrix for two sequences.
-
-    ``S[i][j]`` is the best score aligning the first ``i`` strokes of
-    ``x_ref`` with the first ``j`` strokes of ``y``.
-    """
+def nw_score(x_ref, y) -> int:
+    """Optimal global-alignment score of two stroke sequences."""
     xs, ys = stroke_names(x_ref), stroke_names(y)
     if not xs or not ys:
         raise ValueError("empty sequence")
-    m, w = len(xs), len(ys)
-    S = np.zeros((m + 1, w + 1), dtype=np.int64)
-    S[:, 0] = GAP_PENALTY * np.arange(m + 1)
-    S[0, :] = GAP_PENALTY * np.arange(w + 1)
-    for i in range(1, m + 1):
-        for j in range(1, w + 1):
-            sub = MATCH_SCORE if xs[i - 1] == ys[j - 1] else MISMATCH_SCORE
-            S[i, j] = max(
-                S[i - 1, j - 1] + sub,
-                S[i - 1, j] + GAP_PENALTY,
-                S[i, j - 1] + GAP_PENALTY,
-            )
-    return S
-
-
-def nw_score(x_ref, y) -> int:
-    """Optimal global-alignment score of two stroke sequences."""
-    return int(_nw_score_matrix(x_ref, y)[-1, -1])
+    ids: dict[str, int] = {}
+    x_ids, y_ids = (np.array([[ids.setdefault(s, len(ids)) for s in seq]]) for seq in (xs, ys))
+    return int(batch_nw_scores(x_ids, y_ids)[0, 0])
 
 
 def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
@@ -72,7 +53,7 @@ def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
     ``ref_ids`` is (R, m) and ``win_ids`` is (W, w); returns an (R, W)
     int64 matrix.  All pairs advance through the DP together, one row of
     ``m`` at a time, over chunks of about ``DP_CHUNK_CELLS`` cells, so the
-    working set does not grow with the number of windows.
+    DP's working set does not grow with the number of windows.
 
     Row ``i`` is held as ``U[j] = S[i, j] - GAP*j - (MISMATCH - GAP)*i``.
     A diagonal step then adds 0 or MATCH - MISMATCH, a vertical step adds
@@ -82,29 +63,12 @@ def batch_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
     """
     R, m = ref_ids.shape
     W, w = win_ids.shape
-    step = _chunk_windows(ref_ids, win_ids)
+    step = max(1, DP_CHUNK_CELLS // max(1, ref_ids.size * w))
     out = np.empty((R, W), dtype=np.int64)
     for start in range(0, W, step):
         out[:, start:start + step] = _nw_last_row(ref_ids, win_ids[start:start + step])
     out += GAP_PENALTY * w + (MISMATCH_SCORE - GAP_PENALTY) * m
     return out
-
-
-def _chunk_windows(ref_ids: np.ndarray, win_ids: np.ndarray) -> int:
-    """Windows per chunk, so that a chunk holds about ``DP_CHUNK_CELLS`` cells."""
-    return max(1, DP_CHUNK_CELLS // max(1, ref_ids.size * win_ids.shape[1]))
-
-
-def _best_nw_scores(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
-    """Best score over the reference rows for each window row, as (W,) int64.
-
-    Each chunk is reduced as soon as it is scored, so no (R, W) matrix is held.
-    """
-    step = _chunk_windows(ref_ids, win_ids)
-    best = np.empty(len(win_ids), dtype=np.int64)
-    for start in range(0, len(win_ids), step):
-        best[start:start + step] = batch_nw_scores(ref_ids, win_ids[start:start + step]).max(axis=0)
-    return best
 
 
 def _nw_last_row(ref_ids: np.ndarray, win_ids: np.ndarray) -> np.ndarray:
@@ -226,7 +190,8 @@ def sliding_match_score(
         windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)[open_at]
         keys = windows.view(np.dtype((np.void, m * dtype.itemsize))).ravel()
         distinct, inverse = np.unique(keys, return_inverse=True)
-        best[open_at] = _best_nw_scores(rotations, distinct.view(dtype).reshape(-1, m))[inverse]
+        scores = batch_nw_scores(rotations, distinct.view(dtype).reshape(-1, m))
+        best[open_at] = scores.max(axis=0)[inverse]
     block_maxima = np.maximum.reduceat(best, starts)
     return MatchResult(sigma_nw=float(np.mean(block_maxima)), block_maxima=tuple(block_maxima.tolist()))
 

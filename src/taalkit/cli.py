@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import identify_tala_nw
-from .maml import CONFIG_FIELDS, MamlConfig, meta_test_adapt, meta_train, paired_few_shot_eval
+from .maml import CONFIG_FIELDS, DivergenceError, MamlConfig, meta_test_adapt, meta_train, paired_few_shot_eval
 from .ratio import identify_tala_ratio
 from .seqio import out_of_vocabulary, read_stroke_tokens
 from .simulate import NoiseSpec, PerformanceSpec, corrupt, generate_performance
@@ -261,10 +261,7 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
     except ValueError as e:
         raise InputError(f"invalid task config: {e}") from e
 
-    lo, hi = task_cfg.class_range
-    if lo != hi:
-        raise InputError("the demo task distribution must use a fixed class count")
-    n_classes = task_cfg.task_classes(lo)
+    n_classes = task_cfg.task_classes(task_cfg.class_range[0])  # the default range is fixed
     model = SurrogateModel.create(
         n_features=task_cfg.n_features,
         hidden=args.hidden,
@@ -279,10 +276,15 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
         raise InputError(f"--out: {e}") from e
 
     source = synth_task_source(task_cfg)
-    train = meta_train(model, source, cfg)
-    test_tasks = take_tasks(source, args.n_test_tasks)
-    comparison = paired_few_shot_eval(model, test_tasks, cfg, baseline_seed=cfg.seed)
-    trace = meta_test_adapt(model, test_tasks[0], cfg).trace
+    try:
+        # Adaptation checks every step for overflow, so numpy need not warn.
+        with np.errstate(all="ignore"):
+            train = meta_train(model, source, cfg)
+            test_tasks = take_tasks(source, args.n_test_tasks)
+            comparison = paired_few_shot_eval(model, test_tasks, cfg, baseline_seed=cfg.seed)
+            trace = meta_test_adapt(model, test_tasks[0], cfg).trace
+    except DivergenceError as e:
+        raise InputError(f"{e}; lower --alpha or --beta") from e
 
     curve_lines = [CURVE_HEADER] + [f"{e},{loss:.6f}" for e, loss in train.curve]
     _write(out_dir / "train_curve.csv", "\n".join(curve_lines) + "\n")

@@ -55,8 +55,10 @@ class MamlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.alpha < float("inf") and 0 <= self.beta < float("inf")):
-            raise ValueError("learning rates must be non-negative and finite")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < float("inf"):
+                raise ValueError(f"learning rates must be non-negative finite numbers, got {name}={value!r}")
         for name in ("seed", "inner_steps", "epochs", "adapt_iters", "tasks_per_batch", "order"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:

@@ -16,6 +16,7 @@ Noise sweeps then vary smoothly instead of re-rolling the world per point.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class PerformanceSpec:
         if not 0 < self.tempo_bpm < float("inf"):
             raise ValueError("tempo must be positive and finite")
         m = get_tala(self.tala).matra_count
+        # corrupt() sums two onsets to place an insertion, so twice the last must be finite.
+        if not self.cycles <= sys.float_info.max / (2 * m * (60.0 / self.tempo_bpm)):
+            raise ValueError("onset times overflow: too many cycles at this tempo")
         if not 0 <= self.start_offset < m:
             raise ValueError(f"start_offset must lie in [0, {m})")
 

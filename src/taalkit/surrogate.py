@@ -219,15 +219,12 @@ def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
 
 def sgd_step(params: Sequence[Tensor], grads: Sequence[Tensor], lr: float) -> list[Tensor]:
     """One functional gradient step; stays differentiable if the grads are."""
-    for g in grads:
-        if not np.isfinite(g.data).all():
-            raise ValueError("non-finite gradient")
     return [p - float(lr) * g for p, g in zip(params, grads)]
 
 
 @dataclass
 class SurrogateModel:
-    """Feature map plus current head, with convenience inference methods."""
+    """Feature map plus current head."""
 
     feature_map: FrozenFeatureMap
     head: list[Tensor]
@@ -254,18 +251,6 @@ class SurrogateModel:
     @property
     def n_features(self) -> int:
         return self.feature_map.n_features
-
-    def logits(self, x: np.ndarray, head: Sequence[Tensor] | None = None) -> Tensor:
-        return head_logits(self.feature_map.apply(x), self.head if head is None else head)
-
-    def predict(self, x: np.ndarray, head: Sequence[Tensor] | None = None) -> np.ndarray:
-        return np.argmax(self.logits(x, head).data, axis=1)
-
-    def accuracy(
-        self, x: np.ndarray, labels: np.ndarray, head: Sequence[Tensor] | None = None
-    ) -> float:
-        pred = self.predict(x, head)
-        return float(np.mean(pred == np.asarray(labels, dtype=np.int64)))
 
 
 # --- serialization ----------------------------------------------------------

@@ -49,10 +49,6 @@ class FewShotTask:
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError(f"labels outside [0, {self.n_classes})")
 
-    @property
-    def n_features(self) -> int:
-        return self.support_x.shape[1]
-
 
 @dataclass(frozen=True)
 class SyntheticTaskConfig:
@@ -63,14 +59,11 @@ class SyntheticTaskConfig:
     bank_size: int = 12
     member_pool: tuple[int, int] | None = None
     fixed_members: bool = True
-    prototype_scale: float = 1.0
     jitter_scale: float = 0.15
     noise_scale: float = 0.1
     decay_rate: float = 4.0
     include_no_stroke: bool = True
     class_frequencies: tuple[float, ...] | None = None
-    merge_others: bool = False
-    others_pool: int = 3
     support_size: int = 32
     query_size: int = 8
     seed: int = 0
@@ -96,8 +89,6 @@ class SyntheticTaskConfig:
             freqs = np.asarray(self.class_frequencies, dtype=np.float64)
             if freqs.size == 0 or np.any(freqs <= 0):
                 raise ValueError("class_frequencies must be positive")
-        if self.merge_others and self.others_pool < 1:
-            raise ValueError("others_pool must be positive")
 
     def pool_bounds(self) -> tuple[int, int]:
         return (0, self.bank_size) if self.member_pool is None else self.member_pool
@@ -110,8 +101,8 @@ class SyntheticTaskConfig:
 def synth_task_source(cfg: SyntheticTaskConfig) -> Iterator[FewShotTask]:
     """Infinite deterministic stream of tasks for one config."""
     rng = np.random.default_rng(cfg.seed)
-    bank = rng.normal(0.0, cfg.prototype_scale, size=(cfg.bank_size, cfg.n_features))
-    no_stroke_proto = rng.normal(0.0, 0.2 * cfg.prototype_scale, size=cfg.n_features)
+    bank = rng.normal(0.0, 1.0, size=(cfg.bank_size, cfg.n_features))
+    no_stroke_proto = rng.normal(0.0, 0.2, size=cfg.n_features)
     lo, hi = cfg.class_range
 
     pool_lo, pool_hi = cfg.pool_bounds()
@@ -123,16 +114,6 @@ def synth_task_source(cfg: SyntheticTaskConfig) -> Iterator[FewShotTask]:
         else:
             members = np.sort(rng.choice(np.arange(pool_lo, pool_hi), size=c, replace=False))
         protos = bank[members] + cfg.jitter_scale * rng.normal(size=(c, cfg.n_features))
-        others = None
-        if cfg.merge_others and c >= 2:
-            complement = np.setdiff1d(np.arange(cfg.bank_size), members[:-1])
-            if complement.size:
-                pool_members = rng.choice(
-                    complement, size=min(cfg.others_pool, complement.size), replace=False
-                )
-                others = bank[pool_members] + cfg.jitter_scale * rng.normal(
-                    size=(pool_members.size, cfg.n_features)
-                )
 
         if cfg.class_frequencies is None:
             probs = np.full(c, 1.0 / c)
@@ -143,15 +124,8 @@ def synth_task_source(cfg: SyntheticTaskConfig) -> Iterator[FewShotTask]:
         n = cfg.support_size + cfg.query_size
         cls = rng.choice(c, size=n, p=probs)
         amp = np.exp(-cfg.decay_rate * rng.random(n))
-        base = protos[cls]
-        if others is not None:
-            in_others = cls == c - 1
-            if in_others.any():
-                picks = rng.integers(0, others.shape[0], size=int(in_others.sum()))
-                base = base.copy()
-                base[in_others] = others[picks]
         x = (
-            amp[:, None] * base
+            amp[:, None] * protos[cls]
             + (1.0 - amp)[:, None] * no_stroke_proto
             + cfg.noise_scale * rng.normal(size=(n, cfg.n_features))
         )

@@ -15,7 +15,6 @@ from taalkit.alignment import (
     MATCH_SCORE,
     MISMATCH_SCORE,
     MatchResult,
-    _nw_score_matrix,
     _window_bounds,
     batch_nw_scores,
     identify_tala_nw,
@@ -54,14 +53,35 @@ def brute_nw(x, y):
     return best[0]
 
 
+def reference_nw_matrix(x_ref, y):
+    """Full (m+1)x(w+1) global-alignment score matrix, one cell at a time.
+
+    ``S[i][j]`` is the best score aligning the first ``i`` strokes of
+    ``x_ref`` with the first ``j`` strokes of ``y``.
+    """
+    m, w = len(x_ref), len(y)
+    S = np.zeros((m + 1, w + 1), dtype=np.int64)
+    S[:, 0] = GAP_PENALTY * np.arange(m + 1)
+    S[0, :] = GAP_PENALTY * np.arange(w + 1)
+    for i in range(1, m + 1):
+        for j in range(1, w + 1):
+            sub = MATCH_SCORE if x_ref[i - 1] == y[j - 1] else MISMATCH_SCORE
+            S[i, j] = max(
+                S[i - 1, j - 1] + sub,
+                S[i - 1, j] + GAP_PENALTY,
+                S[i, j - 1] + GAP_PENALTY,
+            )
+    return S
+
+
 def nw_align(x_ref, y):
     """Score plus one optimal alignment recovered by backtracking.
 
     Gaps appear as ``None``.  The sum of per-column scores along the
-    returned path equals ``nw_score(x_ref, y)`` by construction.
+    returned path equals the final cell of `reference_nw_matrix` by construction.
     """
     xs, ys = list(x_ref), list(y)
-    S = _nw_score_matrix(xs, ys)
+    S = reference_nw_matrix(xs, ys)
     i, j = len(xs), len(ys)
     path = []
     while i > 0 or j > 0:
@@ -270,6 +290,22 @@ class TestNwScore:
     def test_self_alignment_is_length(self, x):
         assert nw_score(x, x) == len(x)
 
+    @given(
+        st.lists(st.sampled_from(["Dha", "Dhin", "Tin", "Na"]), min_size=1, max_size=20),
+        st.lists(st.sampled_from(["Dha", "Dhin", "Tin", "Na"]), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_reference(self, x, y):
+        assert nw_score(x, y) == reference_nw_matrix(x, y)[-1, -1]
+
+    def test_long_pair_matches_scalar_reference(self):
+        # 3 x 20,000 leaves int16, so the DP runs on the int64 path.
+        rng = np.random.default_rng(5)
+        syms = ["Dha", "Dhin", "Tin", "Na"]
+        x = ["Dha", "Tin", "Na"]
+        y = [syms[k] for k in rng.integers(0, 4, 20_000)]
+        assert nw_score(x, y) == reference_nw_matrix(x, y)[-1, -1]
+
 
 class TestNwAlign:
     def test_path_score_consistent(self):
@@ -306,7 +342,7 @@ class TestBatchScores:
             for j in range(5):
                 x = [syms[k] for k in refs[i]]
                 y = [syms[k] for k in wins[j]]
-                assert out[i, j] == nw_score(x, y)
+                assert out[i, j] == reference_nw_matrix(x, y)[-1, -1]
 
     def test_disjoint_alphabets_never_match(self):
         refs = np.zeros((1, 3), dtype=np.int64)
@@ -457,9 +493,9 @@ class TestWindowPruning:
         import taalkit.alignment as alignment
 
         aligned = []
-        original = alignment._best_nw_scores
+        original = alignment.batch_nw_scores
         monkeypatch.setattr(
-            alignment, "_best_nw_scores", lambda *a: aligned.append(a[1].copy()) or original(*a)
+            alignment, "batch_nw_scores", lambda *a: aligned.append(a[1].copy()) or original(*a)
         )
         names = _noisy_tintal(240)
         sliding_match_score(names, TINTAL)

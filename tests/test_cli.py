@@ -1,7 +1,9 @@
 """Tests for the command-line interface (run in-process, except the
 peak-memory check, which needs a process of its own)."""
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from taalkit.cli import (
     CURVE_HEADER,
     EVAL_HEADER,
     TRACE_HEADER,
+    build_parser,
     main,
 )
 from taalkit.seqio import write_stroke_tokens
@@ -351,6 +354,8 @@ class TestExitCodes:
             ["eval", "--tempo", "0"],
             ["eval", "--tempo", "inf"],
             ["eval", "--tempo", "nan"],
+            ["eval", "--tempo", "1e-306"],
+            ["eval", "--tempo", "5e-324"],
             ["eval", "--p-sub", "0.6", "--p-del", "0.5"],
             DEMO_ARGS + ["--hidden", "0"],
             DEMO_ARGS + ["--hidden", "-1"],
@@ -382,7 +387,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "field, value",
         [("epochs", 1.5), ("inner_steps", 2.5), ("adapt_iters", 1.5), ("tasks_per_batch", 2.0), ("order", 2.0),
-         ("order", True)],
+         ("order", True), ("alpha", True), ("beta", False)],
     )
     def test_non_integer_config_count_is_exit_2(self, field, value, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -407,3 +412,104 @@ class TestExitCodes:
         assert main(argv + ["--out", out.format(dir=tmp_path, file=a_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --out: ") and err.count("\n") == 1
+
+
+# Bounds on the sized flags: enough to reach every code path, small enough
+# that one run takes milliseconds.  A new integer flag must be added here.
+FLAG_LIMITS = {
+    "--cycles": 3, "--trials": 3, "--epochs": 2, "--n-test-tasks": 2, "--hidden": 8,
+    "--features": 8, "--support": 8, "--query": 8, "--inner-steps": 3, "--adapt-iters": 3,
+    "--tasks-per-batch": 3, "--length-strokes": 64, "--repeats": 3, "--warmup": 3,
+    "--seed": 2**64,
+}
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid`` about nine times in ten, so that most runs get
+    past argument checking."""
+    return st.sampled_from(range(10)).flatmap(lambda k: invalid if k == 5 else valid)
+
+
+_any_float = st.floats() | st.sampled_from(
+    [0.0, -0.0, -1.0, 5e-324, 1e-306, 1e308, math.inf, -math.inf, math.nan]
+)
+_float_flag = _mostly(st.floats(min_value=0.0, allow_infinity=False), _any_float)
+_probabilities = _mostly(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2), st.lists(_any_float, max_size=2)
+).map(lambda v: ",".join(map(repr, v)))
+_config_value = _mostly(
+    st.floats(0.0, 1.0) | st.sampled_from([1, 2]),
+    st.one_of(st.integers(-2, 3), _any_float, st.booleans(), st.none(), st.text(max_size=3)),
+)
+_stroke_names = st.sampled_from(["Dha", "Dhin", "Na", "Tin", "Ta", "Tit", "Ge", "Ke", "Zzz",
+                                 *TOKEN_ALIASES])
+# Strategies for the string-valued flags, by destination.
+_STRING_FLAGS = {
+    "talas": _mostly(st.sampled_from(["all", "Tintal", "Rupak,Ektal", "Jhaptal,"]),
+                     st.sampled_from(["Dhamar", ",", ""]) | st.text(max_size=6)),
+    "p_sub": _probabilities,
+    "p_del": _probabilities,
+    "p_ins": _probabilities,
+}
+
+
+def _subcommands():
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _draw_argv(draw, command, tmp_path):
+    """Every flag of one subcommand, each given a drawn value or left out."""
+    argv = [command]
+    for action in _subcommands()[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:  # identify's stroke file
+            path = tmp_path / "strokes.txt"
+            path.write_text(" ".join(draw(st.lists(_stroke_names, max_size=40))), encoding="utf-8")
+            argv.append(str(path))
+            continue
+        flag = action.option_strings[0]
+        if isinstance(action, argparse.BooleanOptionalAction):
+            argv += draw(st.sampled_from([[], action.option_strings[:1], action.option_strings[1:]]))
+            continue
+        if action.choices is not None:
+            value = draw(st.sampled_from(list(action.choices)))
+        elif action.type is int:
+            value = draw(_mostly(st.integers(0 if flag == "--seed" else 1, FLAG_LIMITS[flag]),
+                                 st.integers(-2, 0)))
+        elif action.type is float:
+            value = repr(draw(_float_flag))
+        elif action.dest == "out":
+            value = str(tmp_path / "out") if command == "maml-demo" else draw(
+                st.sampled_from(["-", str(tmp_path / "out.csv")]))
+        elif action.dest == "config":
+            path = tmp_path / "config.json"
+            fields = st.sampled_from(["alpha", "beta", "order", "seed"])
+            path.write_text(json.dumps(draw(st.dictionaries(fields, _config_value))), encoding="utf-8")
+            value = str(path)
+        else:
+            value = draw(_STRING_FLAGS[action.dest])
+        # Sized flags and --out are always given: their defaults take seconds
+        # to run or write into the working directory.
+        if flag in FLAG_LIMITS and flag != "--seed" or flag == "--out" or draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+class TestFlagTables:
+    def test_every_subcommand_is_covered(self):
+        assert set(_subcommands()) == {"identify", "eval", "bench", "maml-demo"}
+
+    @pytest.mark.parametrize("command", ["identify", "eval", "bench", "maml-demo"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn_flags_never_exit_3(self, command, data, tmp_path, capsys):
+        argv = _draw_argv(data.draw, command, tmp_path)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

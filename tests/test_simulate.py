@@ -33,6 +33,27 @@ class TestPerformanceSpec:
         with pytest.raises(KeyError):
             PerformanceSpec(tala="Dhamar", cycles=1)
 
+    def test_rejects_tempos_whose_onsets_overflow(self):
+        for tempo in (5e-324, 1e-306):  # 60 / tempo, or the last onset, is inf
+            with pytest.raises(ValueError, match="overflow"):
+                PerformanceSpec(tala="Tintal", cycles=2, tempo_bpm=tempo)
+        # The last of 14 onsets, 13 * 60 / 5e-306 = 1.56e308 s, is finite, but
+        # corrupt() adds two onsets to place an insertion.
+        with pytest.raises(ValueError, match="overflow"):
+            PerformanceSpec(tala="Rupak", cycles=2, tempo_bpm=5e-306)
+
+    def test_every_accepted_tempo_survives_insertions(self):
+        accepted = 0
+        for tempo in np.geomspace(1e-306, 1e-303, 200).tolist():
+            try:
+                spec = PerformanceSpec(tala="Rupak", cycles=2, tempo_bpm=tempo)
+            except ValueError:
+                continue
+            accepted += 1
+            noisy = corrupt(generate_performance(spec), NoiseSpec(p_ins=1.0, seed=0))
+            assert len(noisy) == 28 and np.isfinite(noisy.onset_times).all()
+        assert 0 < accepted < 200
+
 
 class TestGeneratePerformance:
     def test_two_tintal_cycles_at_240(self):
