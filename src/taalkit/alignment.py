@@ -166,15 +166,16 @@ def sliding_match_score(
         raise ValueError("empty sequence")
     m = tala.matra_count
 
-    # Canonicalise each distinct token once; strokes outside the theka get
-    # fresh ids after the theka's own.
-    ids = dict(tala.theka_symbol_ids)
-    token_ids = {}
-    for tok in dict.fromkeys(names):
-        token_ids[tok] = ids.setdefault(tala.canonical_stroke(tok) if gharana_equiv else tok, len(ids))
-    dtype = np.min_scalar_type(len(ids))
+    # Canonicalise each distinct token once.  Every stroke outside the theka
+    # mismatches every theka stroke, so they all share the one id after it.
+    ids = tala.theka_symbol_ids
+    token_ids = {
+        tok: ids.get(tala.canonical_stroke(tok) if gharana_equiv else tok, len(ids))
+        for tok in dict.fromkeys(names)
+    }
+    rotations = tala.theka_rotations
+    dtype = rotations.dtype
     seq_ids = np.fromiter(map(token_ids.__getitem__, names), dtype, len(names))
-    rotations = tala.theka_rotations.astype(dtype)
 
     if len(names) < m:
         best = int(batch_nw_scores(rotations, seq_ids[None, :]).max())

@@ -201,7 +201,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputError("--length-strokes must be at least 1")
     if args.repeats < 0:
         raise InputError("--repeats must be non-negative")
-    names = _bench_input(args.length_strokes)
+    try:
+        names = _bench_input(args.length_strokes)
+    except ValueError as e:
+        raise InputError(f"--length-strokes: {e}") from e
     lines = [BENCH_HEADER]
     if args.repeats > 0:
         for method, identify in _IDENTIFIERS.items():
@@ -245,8 +248,6 @@ def _load_maml_config(args: argparse.Namespace) -> MamlConfig:
 
 def cmd_maml_demo(args: argparse.Namespace) -> int:
     cfg = _load_maml_config(args)
-    if args.support < 1 or args.query < 1:
-        raise InputError("--support and --query must be positive")
     if args.n_test_tasks < 1:
         raise InputError("--n-test-tasks must be at least 1")
     if args.hidden < 1:

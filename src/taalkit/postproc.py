@@ -14,6 +14,7 @@ one-to-one matching so no event is used twice.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -127,10 +128,6 @@ class OnsetAnnotation:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.events)
 
 
 def _run_starts(labels: np.ndarray) -> np.ndarray:
@@ -307,15 +304,10 @@ ONSET_CSV_HEADER = "time_sec,label"
 
 def write_onsets_csv(annotation: OnsetAnnotation, dest: str | TextIO) -> None:
     """Write onset events as ``time_sec,label`` rows (6-digit seconds)."""
-    own = isinstance(dest, str)
-    fh: TextIO = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with open(dest, "w", encoding="utf-8") if isinstance(dest, str) else nullcontext(dest) as fh:
         fh.write(ONSET_CSV_HEADER + "\n")
         for t, lab in annotation.events:
             fh.write(f"{t:.6f},{lab}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
@@ -324,9 +316,7 @@ def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
     A malformed row (no comma, or a time that is not a finite number) raises
     ``ValueError`` naming its 1-based line number.
     """
-    own = isinstance(src, str)
-    fh: TextIO = open(src, "r", encoding="utf-8") if own else src
-    try:
+    with open(src, "r", encoding="utf-8") if isinstance(src, str) else nullcontext(src) as fh:
         header = fh.readline().strip()
         if header != ONSET_CSV_HEADER:
             raise ValueError(f"expected header {ONSET_CSV_HEADER!r}, got {header!r}")
@@ -345,7 +335,4 @@ def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
             if not math.isfinite(time):
                 raise ValueError(f"line {lineno}: time {t!r} is not finite")
             events.append((time, lab))
-    finally:
-        if own:
-            fh.close()
     return OnsetAnnotation(tuple(events))

@@ -10,6 +10,7 @@ and is the caller's problem to flag as out-of-vocabulary.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Iterable, TextIO
 
 from .talas import TOKEN_ALIASES, builtin_talas
@@ -25,13 +26,8 @@ def read_stroke_tokens(src: str | TextIO) -> list[str]:
     split once; the comment filter runs only when a ``#`` occurs and the
     alias mapping only when an alias does.
     """
-    own = isinstance(src, str)
-    fh: TextIO = open(src, "r", encoding="utf-8") if own else src
-    try:
+    with open(src, "r", encoding="utf-8") if isinstance(src, str) else nullcontext(src) as fh:
         lines = fh.readlines()
-    finally:
-        if own:
-            fh.close()
     text = "".join(lines)
     if "#" in text:
         # Every line but the last ends in a line break, so joining them
@@ -45,9 +41,7 @@ def read_stroke_tokens(src: str | TextIO) -> list[str]:
 
 def write_stroke_tokens(tokens: Iterable[str], dest: str | TextIO) -> None:
     """Write tokens, a fixed number per line, ending with a newline."""
-    own = isinstance(dest, str)
-    fh: TextIO = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with open(dest, "w", encoding="utf-8") if isinstance(dest, str) else nullcontext(dest) as fh:
         row: list[str] = []
         for t in tokens:
             row.append(t)
@@ -56,9 +50,6 @@ def write_stroke_tokens(tokens: Iterable[str], dest: str | TextIO) -> None:
                 row = []
         if row:
             fh.write(" ".join(row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def known_stroke_names() -> frozenset[str]:

@@ -24,6 +24,8 @@ import numpy as np
 from .talas import StrokeSequence, builtin_talas, get_tala
 
 DEFAULT_TEMPO_BPM = 240.0
+# Longest rendering a spec may ask for, in strokes (cycles x matras).
+MAX_PERFORMANCE_STROKES = 10**6
 
 
 def default_insertion_vocabulary() -> tuple[str, ...]:
@@ -50,7 +52,13 @@ class PerformanceSpec:
             raise ValueError("cycles must be a positive integer")
         if not 0 < self.tempo_bpm < float("inf"):
             raise ValueError("tempo must be positive and finite")
+        # A Python float overflows to inf quietly where a numpy scalar would warn.
+        object.__setattr__(self, "tempo_bpm", float(self.tempo_bpm))
         m = get_tala(self.tala).matra_count
+        if self.cycles * m > MAX_PERFORMANCE_STROKES:
+            raise ValueError(
+                f"{self.cycles} cycles of {m} strokes exceed {MAX_PERFORMANCE_STROKES} strokes"
+            )
         # corrupt() sums two onsets to place an insertion, so twice the last must be finite.
         if not self.cycles <= sys.float_info.max / (2 * m * (60.0 / self.tempo_bpm)):
             raise ValueError("onset times overflow: too many cycles at this tempo")

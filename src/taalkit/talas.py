@@ -148,10 +148,13 @@ class TalaDefinition:
     def theka_rotations(self) -> np.ndarray:
         """Read-only (m, m) symbol ids of every cyclic rotation of the theka.
 
-        Row ``r`` is the theka entered at beat ``r``.  Built on first use and
-        kept on the instance, so each tala pays for it once.
+        Row ``r`` is the theka entered at beat ``r``.  The dtype also holds
+        the next id, which the matcher gives every stroke outside the theka.
+        Built on first use and kept on the instance, so each tala pays for
+        it once.
         """
-        ids = np.array([self.theka_symbol_ids[n] for n in self.theka_names])
+        symbols = self.theka_symbol_ids
+        ids = np.array([symbols[n] for n in self.theka_names], np.min_scalar_type(len(symbols)))
         m = self.matra_count
         rotations = ids[(np.arange(m)[:, None] + np.arange(m)) % m]
         rotations.setflags(write=False)

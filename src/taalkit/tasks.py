@@ -11,10 +11,8 @@ extra No-stroke class, mirroring how quiet release tails are annotated.
 The bank is what makes meta-learning meaningful here: tasks differ in
 jitter, imbalance, and sampling noise, but the underlying strokes recur,
 so a good initialization transfers while a random one starts from nothing.
-By default every task uses the same bank members in the same label order,
-the analog of recordings that share a stroke vocabulary; ``member_pool``
-and ``fixed_members=False`` produce streams over other (possibly disjoint)
-class sets for exercising head re-dimensioning at meta-test.
+A task with ``c`` stroke classes uses the first ``c`` bank members in
+order, the analog of recordings that share a stroke vocabulary.
 """
 
 from __future__ import annotations
@@ -57,13 +55,10 @@ class SyntheticTaskConfig:
     n_features: int = 20
     class_range: tuple[int, int] = (6, 6)
     bank_size: int = 12
-    member_pool: tuple[int, int] | None = None
-    fixed_members: bool = True
     jitter_scale: float = 0.15
     noise_scale: float = 0.1
     decay_rate: float = 4.0
     include_no_stroke: bool = True
-    class_frequencies: tuple[float, ...] | None = None
     support_size: int = 32
     query_size: int = 8
     seed: int = 0
@@ -74,24 +69,12 @@ class SyntheticTaskConfig:
             raise ValueError("n_features must be positive")
         if not 1 <= lo <= hi <= self.bank_size:
             raise ValueError(f"class_range {self.class_range} must fit in bank of {self.bank_size}")
-        pool_lo, pool_hi = self.pool_bounds()
-        if not 0 <= pool_lo < pool_hi <= self.bank_size:
-            raise ValueError(f"member_pool {self.member_pool} outside bank of {self.bank_size}")
-        if pool_hi - pool_lo < hi:
-            raise ValueError("member_pool smaller than the largest class count")
         if self.support_size < 1 or self.query_size < 1:
             raise ValueError("support and query sizes must be positive")
         if self.noise_scale < 0 or self.jitter_scale < 0:
             raise ValueError("scales must be non-negative")
         if self.decay_rate <= 0:
             raise ValueError("decay_rate must be positive")
-        if self.class_frequencies is not None:
-            freqs = np.asarray(self.class_frequencies, dtype=np.float64)
-            if freqs.size == 0 or np.any(freqs <= 0):
-                raise ValueError("class_frequencies must be positive")
-
-    def pool_bounds(self) -> tuple[int, int]:
-        return (0, self.bank_size) if self.member_pool is None else self.member_pool
 
     def task_classes(self, stroke_classes: int) -> int:
         """Total label count for a task with the given stroke-class count."""
@@ -105,24 +88,13 @@ def synth_task_source(cfg: SyntheticTaskConfig) -> Iterator[FewShotTask]:
     no_stroke_proto = rng.normal(0.0, 0.2, size=cfg.n_features)
     lo, hi = cfg.class_range
 
-    pool_lo, pool_hi = cfg.pool_bounds()
     task_id = 0
     while True:
         c = int(rng.integers(lo, hi + 1))
-        if cfg.fixed_members:
-            members = np.arange(pool_lo, pool_lo + c)
-        else:
-            members = np.sort(rng.choice(np.arange(pool_lo, pool_hi), size=c, replace=False))
-        protos = bank[members] + cfg.jitter_scale * rng.normal(size=(c, cfg.n_features))
-
-        if cfg.class_frequencies is None:
-            probs = np.full(c, 1.0 / c)
-        else:
-            probs = np.resize(np.asarray(cfg.class_frequencies, dtype=np.float64), c)
-            probs = probs / probs.sum()
-
+        protos = bank[:c] + cfg.jitter_scale * rng.normal(size=(c, cfg.n_features))
         n = cfg.support_size + cfg.query_size
-        cls = rng.choice(c, size=n, p=probs)
+        # Without p, choice draws other numbers; the explicit p keeps every seeded stream.
+        cls = rng.choice(c, size=n, p=np.full(c, 1.0 / c))
         amp = np.exp(-cfg.decay_rate * rng.random(n))
         x = (
             amp[:, None] * protos[cls]

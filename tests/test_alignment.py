@@ -500,7 +500,11 @@ class TestWindowPruning:
         names = _noisy_tintal(240)
         sliding_match_score(names, TINTAL)
         m = TINTAL.matra_count
-        rotations, seq_ids = _symbol_ids(names, TINTAL, True)
+        # The matcher gives every stroke outside the theka one shared id.
+        ids = TINTAL.theka_symbol_ids
+        seq_ids = np.array([ids.get(TINTAL.canonical_stroke(n), len(ids)) for n in names])
+        rotations = TINTAL.theka_rotations
+        assert len(ids) in seq_ids
         lower, upper = _window_bounds(seq_ids, rotations)
         known = [lower[b:b + m].max() for b in range(0, len(lower), m)]
         open_at = [i for i in range(len(lower)) if upper[i] > known[i // m]]

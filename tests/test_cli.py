@@ -376,6 +376,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--cycles", "100000000", "--trials", "1"],
+         ["bench", "--length-strokes", "100000000", "--repeats", "0"]],
+        ids=["eval", "bench"],
+    )
+    def test_over_long_performance_is_exit_2(self, argv, tmp_path, capsys):
+        # Rejected before any stroke is rendered, so no probe allocates gigabytes.
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "exceed" in err
+
     @pytest.mark.parametrize("seed", [1.5, "7", -1])
     def test_bad_config_seed_is_exit_2(self, seed, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

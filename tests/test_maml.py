@@ -272,7 +272,7 @@ class TestBatchedObjective:
         # A task whose class count differs from the head's cannot be scored
         # by it; the batched objective refuses such a batch as the loop does.
         tcfg = SyntheticTaskConfig(
-            n_features=6, class_range=(3, 5), bank_size=6, fixed_members=False,
+            n_features=6, class_range=(3, 5), bank_size=6,
             include_no_stroke=False, support_size=10, query_size=4, seed=3,
         )
         tasks = take_tasks(synth_task_source(tcfg), 8)
@@ -674,7 +674,7 @@ class TestAgainstStepwiseReference:
 
     @pytest.mark.parametrize("seed", [7, 1])
     def test_paired_eval_equals_stepwise_reference(self, seed, monkeypatch):
-        tcfg = easy_task_config(seed=seed, class_range=(2, 4), fixed_members=False)
+        tcfg = easy_task_config(seed=seed, class_range=(2, 4))
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(seed))
         tasks = take_tasks(synth_task_source(tcfg), 4)
         cfg = MamlConfig(alpha=0.2, inner_steps=3, adapt_iters=2)
@@ -759,7 +759,7 @@ def reference_paired_eval(model, tasks, cfg, baseline_seed):
 class TestPairedEval:
     @pytest.mark.parametrize("class_range", [(3, 3), (2, 4)])
     def test_equals_separate_arms(self, class_range):
-        tcfg = easy_task_config(seed=27, class_range=class_range, fixed_members=False)
+        tcfg = easy_task_config(seed=27, class_range=class_range)
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(27))
         tasks = take_tasks(synth_task_source(tcfg), 6)
         cfg = MamlConfig(alpha=0.2, inner_steps=2, adapt_iters=3)

@@ -505,7 +505,7 @@ class TestCsvInterchange:
         back = read_onsets_csv(buf)
         # Times are written to 6 decimals, so 1/3 comes back rounded.
         assert [lab for _, lab in back.events] == [lab for _, lab in ann.events]
-        assert list(back.times) == pytest.approx(ann.times, abs=1e-6)
+        assert [t for t, _ in back.events] == pytest.approx([t for t, _ in ann.events], abs=1e-6)
 
     def test_round_trip_file(self, tmp_path):
         ann = OnsetAnnotation(((0.0, "Dha"), (0.25, "Tin")))
@@ -513,6 +513,11 @@ class TestCsvInterchange:
         write_onsets_csv(ann, str(path))
         back = read_onsets_csv(str(path))
         assert back.events == ((0.0, "Dha"), (0.25, "Tin"))
+
+    def test_callers_stream_stays_open(self):
+        buf = io.StringIO(f"{ONSET_CSV_HEADER}\n0.5,Dha\n")
+        assert read_onsets_csv(buf).events == ((0.5, "Dha"),)
+        assert not buf.closed
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
@@ -548,12 +553,14 @@ class TestCsvInterchange:
             ann = read_onsets_csv(io.StringIO(text))
         except ValueError:
             return
-        assert all(math.isfinite(t) for t in ann.times)
+        assert all(math.isfinite(t) for t, _ in ann.events)
         once = io.StringIO()
         write_onsets_csv(ann, once)
         back = read_onsets_csv(io.StringIO(once.getvalue()))
         assert [lab for _, lab in back.events] == [lab for _, lab in ann.events]
-        assert all(abs(a - b) <= 5e-7 * max(1.0, abs(a)) for a, b in zip(ann.times, back.times))
+        assert all(
+            abs(a - b) <= 5e-7 * max(1.0, abs(a)) for (a, _), (b, _) in zip(ann.events, back.events)
+        )
         again = io.StringIO()
         write_onsets_csv(back, again)
         assert again.getvalue() == once.getvalue()

@@ -94,6 +94,11 @@ class TestRead:
         p.write_text("Dha Dhin\nTin\n", encoding="utf-8")
         assert read_stroke_tokens(str(p)) == ["Dha", "Dhin", "Tin"]
 
+    def test_callers_stream_stays_open(self):
+        buf = io.StringIO("Dha Dhin\n")
+        assert read_stroke_tokens(buf) == ["Dha", "Dhin"]
+        assert not buf.closed
+
 
 class TestWrite:
     def test_eight_tokens_per_line(self):

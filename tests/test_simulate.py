@@ -1,11 +1,14 @@
 """Tests for the performance simulator and corruption model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from taalkit.alignment import identify_tala_nw
 from taalkit.simulate import (
     DEFAULT_TEMPO_BPM,
+    MAX_PERFORMANCE_STROKES,
     NoiseSpec,
     PerformanceSpec,
     corrupt,
@@ -41,6 +44,21 @@ class TestPerformanceSpec:
         # corrupt() adds two onsets to place an insertion.
         with pytest.raises(ValueError, match="overflow"):
             PerformanceSpec(tala="Rupak", cycles=2, tempo_bpm=5e-306)
+
+    def test_numpy_tempo_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                PerformanceSpec(tala="Tintal", cycles=2, tempo_bpm=np.float64(5e-324))
+            spec = PerformanceSpec(tala="Tintal", cycles=2, tempo_bpm=np.float64(120.0))
+        assert type(spec.tempo_bpm) is float and spec.tempo_bpm == 120.0
+
+    def test_rejects_performances_over_the_stroke_cap(self):
+        cycles = MAX_PERFORMANCE_STROKES // 16
+        assert PerformanceSpec(tala="Tintal", cycles=cycles).cycles * 16 == MAX_PERFORMANCE_STROKES
+        for too_many in (cycles + 1, 10**8):
+            with pytest.raises(ValueError, match=f"exceed {MAX_PERFORMANCE_STROKES} strokes"):
+                PerformanceSpec(tala="Tintal", cycles=too_many)
 
     def test_every_accepted_tempo_survives_insertions(self):
         accepted = 0

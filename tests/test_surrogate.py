@@ -178,6 +178,9 @@ class TestClassWeights:
     def test_from_labels(self):
         labels = np.array([0, 0, 0, 1])
         assert np.allclose(class_weights_from_labels(labels, 2), class_weights(np.array([3, 1])))
+        # 90/10 labels weigh 1:9, inverting the imbalance.
+        w = class_weights_from_labels(np.array([0] * 90 + [1] * 10), 2)
+        assert w[1] / w[0] == pytest.approx(9.0)
         # Classes beyond the observed max still count as absent classes.
         w = class_weights_from_labels(np.array([0, 0]), 3)
         assert len(w) == 3
