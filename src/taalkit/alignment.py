@@ -182,7 +182,7 @@ def sliding_match_score(
         return MatchResult(sigma_nw=float(best), block_maxima=(best,), short_input=True)
 
     # Each offset's score starts as its lower bound; only open offsets are aligned.
-    best, upper = _window_bounds(seq_ids, rotations)
+    best, upper = _window_bounds(seq_ids, tala)
     starts = np.arange(0, len(best), m)
     open_at = np.flatnonzero(upper > np.repeat(np.maximum.reduceat(best, starts), m)[:len(upper)])
     if len(open_at):
@@ -209,7 +209,7 @@ def _window_sums(flags: np.ndarray, m: int) -> np.ndarray:
     return sums[m:] - sums[:-m]
 
 
-def _window_bounds(seq_ids: np.ndarray, rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_bounds(seq_ids: np.ndarray, tala: TalaDefinition) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on the best score of the window at each offset.
 
     Row ``j`` of the tiled rotations is rotation ``j mod m``, so column ``t``
@@ -217,11 +217,10 @@ def _window_bounds(seq_ids: np.ndarray, rotations: np.ndarray) -> tuple[np.ndarr
     with rotation ``(i + t) mod m``; the best column is ``D0``.  The multiset
     overlap ``H`` counts each theka stroke at most as often as the theka has it.
     """
-    m = rotations.shape[1]
-    quota = np.bincount(rotations[0])
+    rotations, quota, m = tala.theka_rotations, tala.reference_ratio, tala.matra_count
     d0 = _window_sums(seq_ids[:, None] == np.resize(rotations, (len(seq_ids), m)), m).max(axis=1)
     counts = _window_sums(seq_ids[:, None] == np.arange(len(quota)), m)
-    overlap = np.minimum(counts, quota.astype(counts.dtype)).sum(axis=1, dtype=np.int64)
+    overlap = np.minimum(counts, np.array(quota, counts.dtype)).sum(axis=1, dtype=np.int64)
     lower = 2 * d0.astype(np.int64) - m
     return lower, np.maximum(lower, 2 * overlap - m - 3)
 

@@ -30,7 +30,7 @@ from .seqio import out_of_vocabulary, read_stroke_tokens
 from .simulate import NoiseSpec, PerformanceSpec, corrupt, generate_performance
 from .surrogate import SurrogateModel
 from .talas import StrokeSequence, builtin_talas, get_tala
-from .tasks import SyntheticTaskConfig, synth_task_source, take_tasks
+from .tasks import MAX_ARRAY_VALUES, SyntheticTaskConfig, synth_task_source, take_tasks
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -261,6 +261,8 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
         )
     except ValueError as e:
         raise InputError(f"invalid task config: {e}") from e
+    if args.hidden * max(args.features, args.hidden, args.support + args.query) > MAX_ARRAY_VALUES:
+        raise InputError(f"--hidden x max(--features, --hidden, --support + --query) exceeds {MAX_ARRAY_VALUES} values")
 
     n_classes = task_cfg.task_classes(task_cfg.class_range[0])  # the default range is fixed
     model = SurrogateModel.create(

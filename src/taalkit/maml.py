@@ -138,7 +138,8 @@ def query_objective(
     Every task must have the head's class count (``ValueError`` otherwise).
     Tasks of equal support and query size adapt together in one graph along
     a leading task axis, each from its own copy of ``head``; groups form in
-    order of first appearance and keep their tasks in task order.
+    order of first appearance and keep their tasks in task order.  Query
+    logits that are not finite raise ``DivergenceError(inner_steps)``.
     """
     n_classes = head_n_classes(head)
     groups: dict[tuple[int, int], list[FewShotTask]] = {}
@@ -158,7 +159,9 @@ def query_objective(
         path = inner_adapt(
             sh, sy, tile_head(head, len(group)), w, cfg.alpha, cfg.inner_steps, cfg.order == 2
         )
-        qloss = wce_loss(head_logits(qh, path[-1]), qy, w).sum()
+        qlogits = head_logits(qh, path[-1])
+        _check_finite([qlogits], cfg.inner_steps)
+        qloss = wce_loss(qlogits, qy, w).sum()
         total = qloss if total is None else total + qloss
     return total * (1.0 / len(tasks))
 

@@ -11,6 +11,7 @@ and is the caller's problem to flag as out-of-vocabulary.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import cache
 from typing import Iterable, TextIO
 
 from .talas import TOKEN_ALIASES, builtin_talas
@@ -52,13 +53,10 @@ def write_stroke_tokens(tokens: Iterable[str], dest: str | TextIO) -> None:
             fh.write(" ".join(row) + "\n")
 
 
+@cache
 def known_stroke_names() -> frozenset[str]:
     """Every stroke name any builtin tala can resolve, variants included."""
-    names: set[str] = set()
-    for tala in builtin_talas():
-        names.update(s.name for s in tala.stroke_vocabulary)
-        names.update(tala.gharana_equivalents)
-    return frozenset(names)
+    return frozenset(n for tala in builtin_talas() for n in (*tala.theka_names, *tala.gharana_equivalents))
 
 
 def out_of_vocabulary(tokens: Iterable[str]) -> list[str]:

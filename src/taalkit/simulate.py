@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -28,13 +29,10 @@ DEFAULT_TEMPO_BPM = 240.0
 MAX_PERFORMANCE_STROKES = 10**6
 
 
+@cache
 def default_insertion_vocabulary() -> tuple[str, ...]:
     """Union of all builtin theka strokes, in first-seen order."""
-    seen: dict[str, None] = {}
-    for tala in builtin_talas():
-        for name in tala.theka_names:
-            seen.setdefault(name)
-    return tuple(seen)
+    return tuple(dict.fromkeys(n for tala in builtin_talas() for n in tala.theka_names))
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ def generate_performance(spec: PerformanceSpec) -> StrokeSequence:
         names = [tala.variant_stroke(n) for n in names]
     beat = 60.0 / spec.tempo_bpm
     onsets = [i * beat for i in range(len(names))]
-    return StrokeSequence.from_names(names, onsets)
+    return StrokeSequence(names, onsets)
 
 
 def corrupt(seq: StrokeSequence, noise: NoiseSpec) -> StrokeSequence:
@@ -143,6 +141,4 @@ def corrupt(seq: StrokeSequence, noise: NoiseSpec) -> StrokeSequence:
             out_names.append(vocab[int(ins_pick[i])])
             out_times.append((times[i] + nxt) / 2.0)
 
-    if seq.onset_times is None:
-        return StrokeSequence.from_names(out_names)
-    return StrokeSequence.from_names(out_names, out_times)
+    return StrokeSequence(out_names, None if seq.onset_times is None else out_times)

@@ -1,9 +1,10 @@
 """Canonical tala definitions and the stroke-symbol domain model.
 
-A tala is the rhythmic cycle of a Hindustani composition: ``matra_count``
-beats grouped into vibhags, with a canonical stroke pattern (the theka)
-that repeats every cycle.  Identification works off two fixed properties
-of the theka: the literal stroke order and the stroke-count ratio.
+A tala is the rhythmic cycle of a Hindustani composition: a canonical
+stroke pattern (the theka) that repeats every cycle, one stroke per beat
+(matra), with the beats grouped into vibhags.  Identification works off two
+fixed properties of the theka: the literal stroke order and the
+stroke-count ratio.
 
 Stroke names are stored as plain ASCII tokens ("Dha", "Tirkita") so file
 formats stay stable; display names may carry diacritics.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from collections import Counter
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -58,17 +59,19 @@ def make_vocabulary(names: Sequence[str], include_no_stroke: bool = False) -> tu
 
 @dataclass(frozen=True)
 class StrokeSequence:
-    """An ordered run of strokes, optionally with onset times in seconds."""
+    """An ordered run of stroke names, optionally with onset times in seconds."""
 
-    strokes: tuple[StrokeLabel, ...]
+    names: tuple[str, ...]
     onset_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "strokes", tuple(self.strokes))
+        object.__setattr__(self, "names", tuple(self.names))
+        # Labelling each distinct name rejects any that is not one token.
+        make_vocabulary(dict.fromkeys(self.names))
         if self.onset_times is not None:
             times = tuple(float(t) for t in self.onset_times)
             object.__setattr__(self, "onset_times", times)
-            if len(times) != len(self.strokes):
+            if len(times) != len(self.names):
                 raise ValueError("onset_times length must match stroke count")
             if any(t < 0 for t in times):
                 raise ValueError("onset times must be non-negative")
@@ -76,23 +79,16 @@ class StrokeSequence:
                 raise ValueError("onset times must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.strokes)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.strokes)
-
-    @classmethod
-    def from_names(cls, names: Iterable[str], onset_times: Sequence[float] | None = None) -> "StrokeSequence":
-        """Build a sequence from raw tokens, assigning ids by first appearance."""
-        names = list(names)
-        labels = {n: StrokeLabel(i, n) for i, n in enumerate(dict.fromkeys(names))}
-        return cls(tuple(map(labels.__getitem__, names)), None if onset_times is None else tuple(onset_times))
+        return len(self.names)
 
 
 @dataclass(frozen=True)
 class TalaDefinition:
-    """A named rhythmic cycle with its theka and reference stroke ratio.
+    """A named rhythmic cycle, defined by its theka.
+
+    Everything else follows from the theka: ``matra_count`` is its length,
+    ``stroke_vocabulary`` its distinct strokes numbered by first appearance,
+    and ``reference_ratio`` each vocabulary stroke's count in one cycle.
 
     ``gharana_equivalents`` maps variant stroke names to the canonical name
     used in the stored theka (e.g. Ta -> Na in Tintal, where some gharanas
@@ -101,48 +97,43 @@ class TalaDefinition:
     """
 
     name: str
-    matra_count: int
     vibhag_lengths: tuple[int, ...]
-    theka: tuple[StrokeLabel, ...]
-    stroke_vocabulary: tuple[StrokeLabel, ...]
-    reference_ratio: tuple[int, ...]
+    theka_names: tuple[str, ...]
     gharana_equivalents: Mapping[str, str] = field(default_factory=dict)
     display_name: str = ""
 
     def __post_init__(self):
-        if self.matra_count <= 0:
-            raise ValueError("matra_count must be positive")
+        object.__setattr__(self, "theka_names", tuple(self.theka_names))
+        if not self.theka_names:
+            raise ValueError(f"{self.name}: theka must not be empty")
         if sum(self.vibhag_lengths) != self.matra_count:
             raise ValueError(f"{self.name}: vibhag lengths {self.vibhag_lengths} do not sum to {self.matra_count}")
-        if len(self.theka) != self.matra_count:
-            raise ValueError(f"{self.name}: theka length {len(self.theka)} != matra count {self.matra_count}")
-        vocab_names = {s.name for s in self.stroke_vocabulary}
-        if len(vocab_names) != len(self.stroke_vocabulary):
-            raise ValueError(f"{self.name}: vocabulary names not unique")
-        missing = [s.name for s in self.theka if s.name not in vocab_names]
-        if missing:
-            raise ValueError(f"{self.name}: theka strokes {missing} missing from vocabulary")
-        if NO_STROKE in vocab_names:
+        if NO_STROKE in self.theka_names:
             raise ValueError(f"{self.name}: {NO_STROKE} is reserved and cannot appear in a tala vocabulary")
-        if len(self.reference_ratio) != len(self.stroke_vocabulary):
-            raise ValueError(f"{self.name}: ratio length != vocabulary length")
-        counts = Counter(s.name for s in self.theka)
-        expected = tuple(counts[s.name] for s in self.stroke_vocabulary)
-        if tuple(self.reference_ratio) != expected:
-            raise ValueError(
-                f"{self.name}: reference_ratio {self.reference_ratio} != theka histogram {expected}"
-            )
+        # Building the vocabulary rejects a token that is not a valid stroke name.
+        self.stroke_vocabulary
         if not self.display_name:
             object.__setattr__(self, "display_name", self.name)
 
     @property
-    def theka_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.theka)
+    def matra_count(self) -> int:
+        return len(self.theka_names)
+
+    @cached_property
+    def stroke_vocabulary(self) -> tuple[StrokeLabel, ...]:
+        """The theka's distinct strokes, numbered by first appearance."""
+        return make_vocabulary(dict.fromkeys(self.theka_names))
+
+    @cached_property
+    def reference_ratio(self) -> tuple[int, ...]:
+        """Each vocabulary stroke's count in one theka cycle."""
+        counts = Counter(self.theka_names)
+        return tuple(counts[s.name] for s in self.stroke_vocabulary)
 
     @cached_property
     def theka_symbol_ids(self) -> Mapping[str, int]:
-        """Integer id of each distinct theka stroke, numbered by first appearance."""
-        return MappingProxyType({n: i for i, n in enumerate(dict.fromkeys(self.theka_names))})
+        """Integer id of each distinct theka stroke: its vocabulary id."""
+        return MappingProxyType({s.name: s.id for s in self.stroke_vocabulary})
 
     @cached_property
     def theka_rotations(self) -> np.ndarray:
@@ -172,64 +163,44 @@ class TalaDefinition:
         return name
 
 
-def _tala(name, display, vibhags, theka_tokens, vocab_tokens, equivalents=None) -> TalaDefinition:
-    vocab = make_vocabulary(vocab_tokens)
-    by_name = {s.name: s for s in vocab}
-    theka = tuple(by_name[t] for t in theka_tokens)
-    ratio = tuple(Counter(theka_tokens)[t] for t in vocab_tokens)
-    return TalaDefinition(
-        name=name,
-        display_name=display,
-        matra_count=len(theka_tokens),
-        vibhag_lengths=tuple(vibhags),
-        theka=theka,
-        stroke_vocabulary=vocab,
-        reference_ratio=ratio,
-        gharana_equivalents=equivalents or {},
-    )
-
-
 # The four cycles covered by the built-in knowledge base.  Compound bols
 # (Dhage, Tirkita) are atomic tokens occupying a single matra; that is the
-# only reading under which Ektal's ratio [3,1,2,1,1,2,2] sums to 12.
+# only reading under which Ektal's ratio (3, 2, 2, 1, 2, 1, 1) over Dhin,
+# Dhage, Tirkita, Tun, Na, Kat, Ta sums to 12.
 _BUILTIN = (
-    _tala(
+    TalaDefinition(
         "Tintal",
-        "Tīntāl",
-        [4, 4, 4, 4],
+        (4, 4, 4, 4),
         # |Dha Dhin Dhin Dha|Dha Dhin Dhin Dha|Dha Tin Tin Na|Na Dhin Dhin Dha|
-        ["Dha", "Dhin", "Dhin", "Dha",
+        ("Dha", "Dhin", "Dhin", "Dha",
          "Dha", "Dhin", "Dhin", "Dha",
          "Dha", "Tin", "Tin", "Na",
-         "Na", "Dhin", "Dhin", "Dha"],
-        ["Dha", "Dhin", "Tin", "Na"],
-        equivalents={"Ta": "Na"},
+         "Na", "Dhin", "Dhin", "Dha"),
+        gharana_equivalents={"Ta": "Na"},
+        display_name="Tīntāl",
     ),
-    _tala(
+    TalaDefinition(
         "Ektal",
-        "Ektāl",
-        [2, 2, 2, 2, 2, 2],
+        (2, 2, 2, 2, 2, 2),
         # |Dhin Dhin|Dhage Tirkita|Tun Na|Kat Ta|Dhage Tirkita|Dhin Na|
-        ["Dhin", "Dhin", "Dhage", "Tirkita",
+        ("Dhin", "Dhin", "Dhage", "Tirkita",
          "Tun", "Na", "Kat", "Ta",
-         "Dhage", "Tirkita", "Dhin", "Na"],
-        ["Dhin", "Tun", "Na", "Kat", "Ta", "Dhage", "Tirkita"],
+         "Dhage", "Tirkita", "Dhin", "Na"),
+        display_name="Ektāl",
     ),
-    _tala(
+    TalaDefinition(
         "Jhaptal",
-        "Jhaptāl",
-        [2, 3, 2, 3],
+        (2, 3, 2, 3),
         # |Dhi Na|Dhi Dhi Na|Ti Na|Dhi Dhi Na|
-        ["Dhi", "Na", "Dhi", "Dhi", "Na", "Ti", "Na", "Dhi", "Dhi", "Na"],
-        ["Dhi", "Na", "Ti"],
+        ("Dhi", "Na", "Dhi", "Dhi", "Na", "Ti", "Na", "Dhi", "Dhi", "Na"),
+        display_name="Jhaptāl",
     ),
-    _tala(
+    TalaDefinition(
         "Rupak",
-        "Rūpak",
-        [3, 2, 2],
+        (3, 2, 2),
         # |Tin Tin Na|Dhi Na|Dhi Na|
-        ["Tin", "Tin", "Na", "Dhi", "Na", "Dhi", "Na"],
-        ["Tin", "Na", "Dhi"],
+        ("Tin", "Tin", "Na", "Dhi", "Na", "Dhi", "Na"),
+        display_name="Rūpak",
     ),
 )
 

@@ -24,6 +24,9 @@ import numpy as np
 
 from .postproc import NO_STROKE_AMPLITUDE_FRACTION
 
+# Most float64 values a task's frames or a model's weights may ask for.
+MAX_ARRAY_VALUES = 10**7
+
 
 @dataclass(frozen=True)
 class FewShotTask:
@@ -71,6 +74,8 @@ class SyntheticTaskConfig:
             raise ValueError(f"class_range {self.class_range} must fit in bank of {self.bank_size}")
         if self.support_size < 1 or self.query_size < 1:
             raise ValueError("support and query sizes must be positive")
+        if (self.support_size + self.query_size) * self.n_features > MAX_ARRAY_VALUES:
+            raise ValueError(f"(support + query) x n_features frames exceed {MAX_ARRAY_VALUES} values")
         if self.noise_scale < 0 or self.jitter_scale < 0:
             raise ValueError("scales must be non-negative")
         if self.decay_rate <= 0:

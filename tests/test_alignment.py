@@ -29,7 +29,7 @@ from taalkit.simulate import (
     default_insertion_vocabulary,
     generate_performance,
 )
-from taalkit.talas import TalaDefinition, builtin_talas, get_tala, make_vocabulary
+from taalkit.talas import TalaDefinition, builtin_talas, get_tala
 
 TINTAL = get_tala("Tintal")
 
@@ -175,24 +175,13 @@ def unpruned_sliding_match_score(names, tala, gharana_equiv=True):
     return MatchResult(sigma_nw=float(np.mean(block_maxima)), block_maxima=tuple(block_maxima.tolist()))
 
 
-def _custom_tala(name, theka, vibhags, equivalents):
-    vocab = make_vocabulary(list(dict.fromkeys(theka)))
-    by_name = {s.name: s for s in vocab}
-    return TalaDefinition(
-        name=name,
-        matra_count=len(theka),
-        vibhag_lengths=tuple(vibhags),
-        theka=tuple(by_name[t] for t in theka),
-        stroke_vocabulary=vocab,
-        reference_ratio=tuple(theka.count(s.name) for s in vocab),
-        gharana_equivalents=equivalents,
-    )
-
-
 # Shares the built-in Tintal's name but not its theka or its variant map, so
 # a per-tala cache keyed by name would hand it the wrong rotation table.
-IMPOSTOR_TINTAL = _custom_tala(
-    "Tintal", ["Dha", "Ge", "Na", "Tin", "Tin", "Na", "Ge", "Dha"], [4, 4], {"Ta": "Tin", "Ka": "Ge"}
+IMPOSTOR_TINTAL = TalaDefinition(
+    name="Tintal",
+    vibhag_lengths=(4, 4),
+    theka_names=("Dha", "Ge", "Na", "Tin", "Tin", "Na", "Ge", "Dha"),
+    gharana_equivalents={"Ta": "Tin", "Ka": "Ge"},
 )
 ORACLE_TALAS = (*builtin_talas(), IMPOSTOR_TINTAL)
 # Every built-in stroke, the gharana variants, and strokes no tala knows.
@@ -471,7 +460,7 @@ class TestWindowPruning:
         rotations, seq_ids = _symbol_ids(names, tala, gharana_equiv)
         windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)
         score = reference_batch_nw_scores(rotations, windows).max(axis=0)
-        lower, upper = _window_bounds(seq_ids, rotations)
+        lower, upper = _window_bounds(seq_ids, tala)
         assert np.all(lower <= score) and np.all(score <= upper)
         # The lower bound is the best gap-free alignment, which is reachable.
         positional = (windows[:, None, :] == rotations[None, :, :]).sum(axis=2).max(axis=1)
@@ -503,9 +492,8 @@ class TestWindowPruning:
         # The matcher gives every stroke outside the theka one shared id.
         ids = TINTAL.theka_symbol_ids
         seq_ids = np.array([ids.get(TINTAL.canonical_stroke(n), len(ids)) for n in names])
-        rotations = TINTAL.theka_rotations
         assert len(ids) in seq_ids
-        lower, upper = _window_bounds(seq_ids, rotations)
+        lower, upper = _window_bounds(seq_ids, TINTAL)
         known = [lower[b:b + m].max() for b in range(0, len(lower), m)]
         open_at = [i for i in range(len(lower)) if upper[i] > known[i // m]]
         windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)

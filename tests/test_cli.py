@@ -365,6 +365,15 @@ class TestExitCodes:
             DEMO_ARGS + ["--alpha", "inf"],
             DEMO_ARGS + ["--beta", "nan"],
             DEMO_ARGS + ["--beta", "inf"],
+            # Sizes whose arrays could not be allocated.
+            DEMO_ARGS + ["--support", str(10**12)],
+            DEMO_ARGS + ["--query", str(10**12)],
+            DEMO_ARGS + ["--features", str(10**12)],
+            DEMO_ARGS + ["--hidden", str(10**12)],
+            # Finite adapted parameters whose query logits overflow.
+            DEMO_ARGS + ["--alpha=1.3732021482183925e+308", "--inner-steps=1", "--epochs=1",
+                         "--adapt-iters=1", "--tasks-per-batch=1", "--support=1", "--query=1",
+                         "--features=1", "--hidden=1", "--n-test-tasks=1"],
         ],
     )
     def test_bad_value_is_exit_2_with_one_line(self, argv, tmp_path, capsys):

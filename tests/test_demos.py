@@ -1,6 +1,7 @@
-"""Every script under ``demos/`` runs to completion against ``src/``."""
+"""Every script under ``demos/`` and README's quick start run to completion against ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,18 @@ def test_demo_exits_0(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_prints_what_its_comments_say(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
+    expected = re.findall(r'print\(.*\)\s*# "(.*)"', block)
+    assert expected == ["Jhaptal", "Jhaptal"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected

@@ -290,6 +290,25 @@ class TestBatchedObjective:
         loop = reference_query_objective(model, model.head, fives, cfg)
         assert relative_error(batched.data, loop.data) < 1e-12
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_query_logit_overflow_is_a_divergence(self, order):
+        # One step of size 1.37e308 leaves the one-unit head finite on the
+        # support frame, but its query logits overflow.
+        tcfg = SyntheticTaskConfig(n_features=1, support_size=1, query_size=1)
+        rng = np.random.default_rng(np.random.SeedSequence([0, 99]))
+        model = SurrogateModel.create(1, 1, tcfg.task_classes(6), rng)
+        tasks = take_tasks(synth_task_source(tcfg), 1)
+        cfg = MamlConfig(alpha=1.3732021482183925e308, inner_steps=1, order=order)
+        task = tasks[0]
+        w = class_weights_from_labels(task.support_y, task.n_classes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = inner_adapt(model.feature_map.apply(task.support_x), task.support_y,
+                               model.head, w, cfg.alpha, 1, False)
+            assert all(np.isfinite(p.data).all() for p in path[-1])
+            with pytest.raises(DivergenceError) as exc:
+                query_objective(model, model.head, tasks, cfg)
+        assert exc.value.step == 1
+
     def test_inner_adapt_batch_equals_each_task(self):
         rng = np.random.default_rng(11)
         h = rng.normal(size=(3, 9, 5))

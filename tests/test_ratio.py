@@ -15,10 +15,10 @@ from taalkit.talas import StrokeSequence, TalaDefinition, builtin_talas, get_tal
 TOKEN_POOL = (*default_insertion_vocabulary(), "Ta", "Zzz", "Qq")
 
 
-def reference_ratio_ranking(names, gharana_equiv):
+def reference_ratio_ranking(names, gharana_equiv, talas=None):
     """The original ranking: every stroke canonicalised and counted one by one."""
     entries = []
-    for t in builtin_talas():
+    for t in builtin_talas() if talas is None else talas:
         mapped = [t.canonical_stroke(n) for n in names] if gharana_equiv else list(names)
         index = {s.name: i for i, s in enumerate(t.stroke_vocabulary)}
         counts = np.zeros(len(index), dtype=np.int64)
@@ -132,6 +132,29 @@ class TestIdentifyRatio:
         got = [(s.tala, s.score, s.normalized, s.coverage) for s in result.ranking]
         assert got == reference_ratio_ranking(names, gharana_equiv)
 
+    @given(
+        st.lists(st.sampled_from(default_insertion_vocabulary()), min_size=1, max_size=16),
+        st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=60),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_custom_theka_catalogue(self, theka, names, gharana_equiv):
+        # Everything a tala holds besides its theka follows from the theka.
+        tala = TalaDefinition(
+            name="Custom",
+            vibhag_lengths=(len(theka),),
+            theka_names=tuple(theka),
+            gharana_equivalents={"Zzz": theka[0]},
+        )
+        counts, oov = stroke_histogram(tala.theka_names, tala.stroke_vocabulary)
+        assert oov == 0
+        assert tuple(counts.tolist()) == tala.reference_ratio
+        assert dict(tala.theka_symbol_ids) == {s.name: s.id for s in tala.stroke_vocabulary}
+        assert tuple(np.bincount(tala.theka_rotations[0]).tolist()) == tala.reference_ratio
+        result = identify_tala_ratio(names, [tala], gharana_equiv=gharana_equiv)
+        got = [(s.tala, s.score, s.normalized, s.coverage) for s in result.ranking]
+        assert got == reference_ratio_ranking(names, gharana_equiv, [tala])
+
     def test_canonicalises_each_distinct_token_once(self, monkeypatch):
         calls = Counter()
         original = TalaDefinition.canonical_stroke
@@ -188,9 +211,10 @@ class TestIdentifyRatio:
 @pytest.mark.parametrize("identify", [identify_tala_nw, identify_tala_ratio], ids=["nw", "ratio"])
 def test_identifiers_accept_names_labels_and_sequences(identify):
     rupak = get_tala("Rupak")
-    labels = list(rupak.theka) * 3
-    names = [s.name for s in labels]
-    results = [identify(x) for x in (names, labels, StrokeSequence(tuple(labels)))]
+    names = list(rupak.theka_names) * 3
+    vocab = {s.name: s for s in rupak.stroke_vocabulary}
+    labels = [vocab[n] for n in names]
+    results = [identify(x) for x in (names, labels, StrokeSequence(names))]
     assert results[0].best.tala == "Rupak"
     assert results[0].best.normalized == pytest.approx(1.0)
     assert "low_confidence" not in results[0].flags

@@ -19,11 +19,17 @@ from taalkit.talas import (
     stroke_names,
 )
 
+# Each ratio maps the theka's strokes, in first-appearance order, to their
+# counts in one cycle.
 EXPECTED = {
-    "Tintal": dict(m=16, vibhags=(4, 4, 4, 4), ratio=(6, 6, 2, 2)),
-    "Ektal": dict(m=12, vibhags=(2, 2, 2, 2, 2, 2), ratio=(3, 1, 2, 1, 1, 2, 2)),
-    "Jhaptal": dict(m=10, vibhags=(2, 3, 2, 3), ratio=(5, 4, 1)),
-    "Rupak": dict(m=7, vibhags=(3, 2, 2), ratio=(2, 3, 2)),
+    "Tintal": dict(m=16, vibhags=(4, 4, 4, 4), ratio=dict(Dha=6, Dhin=6, Tin=2, Na=2)),
+    "Ektal": dict(
+        m=12,
+        vibhags=(2, 2, 2, 2, 2, 2),
+        ratio=dict(Dhin=3, Dhage=2, Tirkita=2, Tun=1, Na=2, Kat=1, Ta=1),
+    ),
+    "Jhaptal": dict(m=10, vibhags=(2, 3, 2, 3), ratio=dict(Dhi=5, Na=4, Ti=1)),
+    "Rupak": dict(m=7, vibhags=(3, 2, 2), ratio=dict(Tin=2, Na=3, Dhi=2)),
 }
 
 
@@ -40,8 +46,8 @@ class TestCatalogue:
         assert tala.vibhag_lengths == exp["vibhags"]
         assert sum(tala.vibhag_lengths) == tala.matra_count
         assert len(tala.theka_names) == tala.matra_count
-        assert tala.reference_ratio == exp["ratio"]
-        assert len(tala.reference_ratio) == len(tala.stroke_vocabulary)
+        assert tuple(s.name for s in tala.stroke_vocabulary) == tuple(exp["ratio"])
+        assert tala.reference_ratio == tuple(exp["ratio"].values())
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_ratio_is_theka_histogram(self, name):
@@ -129,46 +135,41 @@ class TestVocabulary:
             StrokeLabel(id=0, name="")
 
 
-def reference_from_names(names):
-    """The original per-stroke loop: one StrokeLabel built for every stroke."""
-    ids = {}
-    strokes = []
-    for n in names:
-        if n not in ids:
-            ids[n] = len(ids)
-        strokes.append(StrokeLabel(ids[n], n))
-    return StrokeSequence(tuple(strokes))
-
-
 class TestStrokeSequence:
-    def test_from_names_assigns_first_appearance_ids(self):
-        seq = StrokeSequence.from_names(["Na", "Dha", "Na"])
+    def test_holds_names(self):
+        seq = StrokeSequence(["Na", "Dha", "Na"])
         assert seq.names == ("Na", "Dha", "Na")
-        assert [s.id for s in seq.strokes] == [0, 1, 0]
+        assert seq.onset_times is None
+
+    @pytest.mark.parametrize("bad", ["Dha Dhin", ""])
+    def test_invalid_name_rejected(self, bad):
+        with pytest.raises(ValueError, match="stroke name must be a non-empty token"):
+            StrokeSequence(["Na", bad, "Dha"])
 
     @given(st.lists(st.sampled_from(["Na", "Dha", "Tin", "Ta", "Ge", "Dha Dhin", ""]), max_size=30))
-    def test_from_names_equals_per_stroke_loop(self, names):
-        try:
-            expected = reference_from_names(names)
-        except ValueError as e:
-            with pytest.raises(ValueError) as got:
-                StrokeSequence.from_names(names)
-            assert str(got.value) == str(e)
-        else:
-            assert StrokeSequence.from_names(names) == expected
+    def test_first_invalid_name_is_reported(self, names):
+        # The error names the first invalid token, as labelling each name in
+        # order would.
+        bad = [n for n in names if not n or " " in n]
+        if not bad:
+            assert StrokeSequence(names).names == tuple(names)
+            return
+        with pytest.raises(ValueError) as got:
+            StrokeSequence(names)
+        assert str(got.value) == f"stroke name must be a non-empty token, got {bad[0]!r}"
 
     def test_onsets_must_match_length(self):
         with pytest.raises(ValueError):
-            StrokeSequence.from_names(["Na", "Dha"], onset_times=[0.0])
+            StrokeSequence(["Na", "Dha"], onset_times=[0.0])
 
     def test_onsets_strictly_increasing(self):
         with pytest.raises(ValueError):
-            StrokeSequence.from_names(["Na", "Dha"], onset_times=[0.5, 0.5])
+            StrokeSequence(["Na", "Dha"], onset_times=[0.5, 0.5])
         with pytest.raises(ValueError):
-            StrokeSequence.from_names(["Na", "Dha"], onset_times=[-0.1, 0.5])
+            StrokeSequence(["Na", "Dha"], onset_times=[-0.1, 0.5])
 
     def test_len_and_iteration(self):
-        seq = StrokeSequence.from_names(["Na", "Dha", "Tin"])
+        seq = StrokeSequence(["Na", "Dha", "Tin"])
         assert len(seq) == 3
 
 
@@ -222,7 +223,9 @@ class TestHistogram:
 
     def test_label_input_counts_names(self):
         tintal = get_tala("Tintal")
-        counts, oov = stroke_histogram(list(tintal.theka), tintal.stroke_vocabulary)
+        vocab = {s.name: s for s in tintal.stroke_vocabulary}
+        labels = [vocab[n] for n in tintal.theka_names]
+        counts, oov = stroke_histogram(labels, tintal.stroke_vocabulary)
         assert counts.tolist() == [6, 6, 2, 2]
         assert oov == 0
 
@@ -233,10 +236,11 @@ class TestStrokeNames:
         assert stroke_names(names) is names
 
     def test_names_labels_and_sequence_agree(self):
-        seq = StrokeSequence.from_names(["Dha", "Na", "Dha"])
+        seq = StrokeSequence(["Dha", "Na", "Dha"])
         want = ("Dha", "Na", "Dha")
+        vocab = {s.name: s for s in get_tala("Tintal").stroke_vocabulary}
         assert stroke_names(["Dha", "Na", "Dha"]) == want
-        assert stroke_names(list(seq.strokes)) == want
+        assert stroke_names([vocab[n] for n in want]) == want
         assert stroke_names(seq) == want
         assert stroke_names(iter(want)) == want
 
@@ -248,55 +252,30 @@ class TestStrokeNames:
 
 
 class TestDefinitionValidation:
-    def _base_kwargs(self, theka=("A", "B", "A", "B"), vocab=("A", "B"),
-                     vibhags=(2, 2), ratio=(2, 2)):
-        labels = make_vocabulary(vocab)
-        by_name = {l.name: l for l in labels}
-        return dict(
-            name="Toy",
-            matra_count=len(theka),
-            vibhag_lengths=vibhags,
-            theka=tuple(by_name[t] for t in theka),
-            stroke_vocabulary=labels,
-            reference_ratio=ratio,
-        )
+    def _base_kwargs(self, theka=("A", "B", "A", "B"), vibhags=(2, 2)):
+        return dict(name="Toy", vibhag_lengths=vibhags, theka_names=theka)
 
     def test_valid_definition_accepted(self):
         tala = TalaDefinition(**self._base_kwargs())
         assert tala.display_name == "Toy"  # defaults to name
         assert tala.theka_names == ("A", "B", "A", "B")
+        assert tala.matra_count == 4
+        assert [(s.id, s.name) for s in tala.stroke_vocabulary] == [(0, "A"), (1, "B")]
+        assert tala.reference_ratio == (2, 2)
+
+    def test_empty_theka_rejected(self):
+        with pytest.raises(ValueError, match="theka must not be empty"):
+            TalaDefinition(**self._base_kwargs(theka=(), vibhags=()))
 
     def test_vibhag_sum_mismatch(self):
         with pytest.raises(ValueError):
             TalaDefinition(**self._base_kwargs(vibhags=(1, 2)))
 
-    def test_theka_length_mismatch(self):
-        kw = self._base_kwargs()
-        kw["theka"] = kw["theka"][:3]
-        with pytest.raises(ValueError):
-            TalaDefinition(**kw)
-
-    def test_theka_outside_vocabulary(self):
-        kw = self._base_kwargs()
-        kw["theka"] = kw["theka"][:3] + (StrokeLabel(id=9, name="C"),)
-        with pytest.raises(ValueError):
-            TalaDefinition(**kw)
-
-    def test_ratio_must_match_theka_histogram(self):
-        with pytest.raises(ValueError):
-            TalaDefinition(**self._base_kwargs(ratio=(3, 1)))
-
-    def test_duplicate_vocabulary_names_rejected(self):
-        kw = self._base_kwargs()
-        kw["stroke_vocabulary"] = (StrokeLabel(0, "A"), StrokeLabel(1, "A"))
-        with pytest.raises(ValueError):
-            TalaDefinition(**kw)
+    @pytest.mark.parametrize("bad", ["A B", ""])
+    def test_invalid_theka_token_rejected(self, bad):
+        with pytest.raises(ValueError, match="stroke name must be a non-empty token"):
+            TalaDefinition(**self._base_kwargs(theka=("A", bad, "A", "B")))
 
     def test_no_stroke_reserved(self):
         with pytest.raises(ValueError):
-            TalaDefinition(
-                **self._base_kwargs(
-                    theka=("A", NO_STROKE, "A", NO_STROKE),
-                    vocab=("A", NO_STROKE),
-                )
-            )
+            TalaDefinition(**self._base_kwargs(theka=("A", NO_STROKE, "A", NO_STROKE)))

@@ -5,7 +5,7 @@ import pytest
 
 from taalkit.autodiff import Tensor, grad
 from taalkit.surrogate import class_weights_from_labels, sgd_step, wce_loss
-from taalkit.tasks import FewShotTask, SyntheticTaskConfig, synth_task_source, take_tasks
+from taalkit.tasks import MAX_ARRAY_VALUES, FewShotTask, SyntheticTaskConfig, synth_task_source, take_tasks
 
 
 class TestFewShotTask:
@@ -70,6 +70,17 @@ class TestConfigValidation:
             SyntheticTaskConfig(n_features=0)
         with pytest.raises(ValueError):
             SyntheticTaskConfig(decay_rate=0.0)
+
+    def test_frames_beyond_cap_rejected_before_allocation(self):
+        # One task's (support + query) x n_features frames may hold at most
+        # MAX_ARRAY_VALUES values.
+        cap = MAX_ARRAY_VALUES
+        assert SyntheticTaskConfig(n_features=1, support_size=cap - 8, query_size=8).n_features == 1
+        with pytest.raises(ValueError, match=f"exceed {cap} values"):
+            SyntheticTaskConfig(n_features=1, support_size=cap - 7, query_size=8)
+        for size in ("n_features", "support_size", "query_size"):
+            with pytest.raises(ValueError, match=f"exceed {cap} values"):
+                SyntheticTaskConfig(**{size: 10**12})
 
 
 class TestTaskStream:
