@@ -15,6 +15,8 @@ identification pipeline can be evaluated end to end, and ``taalkit.cli``
 exposes the whole thing as a command line.
 """
 
+from types import ModuleType as _ModuleType
+
 from .alignment import (
     GAP_PENALTY,
     MATCH_SCORE,
@@ -83,68 +85,5 @@ from .tasks import FewShotTask, SyntheticTaskConfig, synth_task_source, take_tas
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GAP_PENALTY",
-    "MATCH_SCORE",
-    "MISMATCH_SCORE",
-    "NO_STROKE",
-    "NO_STROKE_AMPLITUDE_FRACTION",
-    "DEFAULT_COLLAR_SECONDS",
-    "AdaptResult",
-    "DivergenceError",
-    "FewShotTask",
-    "FrameLabelSequence",
-    "FrozenFeatureMap",
-    "MamlConfig",
-    "MatchResult",
-    "MetaTrainResult",
-    "NoiseSpec",
-    "OnsetAnnotation",
-    "OnsetEvaluation",
-    "PairedComparison",
-    "PerformanceSpec",
-    "RankedResult",
-    "StrokeLabel",
-    "StrokeSequence",
-    "SurrogateModel",
-    "SyntheticTaskConfig",
-    "TalaDefinition",
-    "TalaScore",
-    "Tensor",
-    "batch_nw_scores",
-    "builtin_talas",
-    "class_weights",
-    "class_weights_from_labels",
-    "corrupt",
-    "cosine_similarity",
-    "generate_performance",
-    "get_tala",
-    "grad",
-    "head_logits",
-    "identify_tala_nw",
-    "identify_tala_ratio",
-    "init_head",
-    "inner_adapt",
-    "label_no_stroke",
-    "lcs_baseline_score",
-    "load_model",
-    "meta_gradients",
-    "meta_test_adapt",
-    "meta_train",
-    "meta_update",
-    "nw_score",
-    "onset_f1",
-    "onsets_from_frames",
-    "paired_few_shot_eval",
-    "query_objective",
-    "read_onsets_csv",
-    "save_model",
-    "sgd_step",
-    "sliding_match_score",
-    "smooth_labels",
-    "stroke_histogram",
-    "synth_task_source",
-    "take_tasks",
-    "wce_loss",
-    "write_onsets_csv",
-]
+# Every public name bound above, less the submodules that the imports bind.
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType))

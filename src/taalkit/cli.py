@@ -29,7 +29,7 @@ from .ratio import identify_tala_ratio
 from .seqio import out_of_vocabulary, read_stroke_tokens
 from .simulate import NoiseSpec, PerformanceSpec, corrupt, generate_performance
 from .surrogate import SurrogateModel
-from .talas import StrokeSequence, builtin_talas, get_tala
+from .talas import builtin_talas, get_tala
 from .tasks import MAX_ARRAY_VALUES, SyntheticTaskConfig, synth_task_source, take_tasks
 
 EXIT_OK = 0
@@ -137,48 +137,41 @@ def cmd_eval(args: argparse.Namespace) -> int:
     p_dels = _parse_float_list(args.p_del, "--p-del")
     p_inss = _parse_float_list(args.p_ins, "--p-ins")
     grid = list(itertools.product(p_subs, p_dels, p_inss))
-
-    # Pre-draw the per-trial world (start offset, corruption seed) once so
-    # every grid point replays the same coin flips on the same performance.
-    trial_worlds: dict[str, list[tuple[StrokeSequence, int]]] = {}
-    for ti, name in enumerate(talas):
-        tala = get_tala(name)
-        worlds = []
-        for trial in range(args.trials):
-            rng = np.random.default_rng(np.random.SeedSequence([args.seed, ti, trial]))
-            offset = int(rng.integers(0, tala.matra_count))
-            noise_seed = int(rng.integers(0, 2**63))
-            try:
-                spec = PerformanceSpec(
-                    tala=name, cycles=args.cycles, tempo_bpm=args.tempo, start_offset=offset
-                )
-            except ValueError as e:
-                raise InputError(str(e)) from e
-            worlds.append((generate_performance(spec), noise_seed))
-        trial_worlds[name] = worlds
+    # Every spec is checked before the first performance is rendered; a trial's
+    # offset and noise seed are always valid, so offset 0 and seed 0 stand in.
+    try:
+        for name in talas:
+            PerformanceSpec(tala=name, cycles=args.cycles, tempo_bpm=args.tempo)
+        for p_sub, p_del, p_ins in grid:
+            NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins)
+    except ValueError as e:
+        raise InputError(str(e)) from e
 
     lines = [EVAL_HEADER]
-    for name in talas:
-        for p_sub, p_del, p_ins in grid:
-            hits = {"nw": 0, "ratio": 0}
-            score_sum = {"nw": 0.0, "ratio": 0.0}
-            for clean, noise_seed in trial_worlds[name]:
-                try:
-                    noise = NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins, seed=noise_seed)
-                except ValueError as e:
-                    raise InputError(str(e)) from e
-                noisy = corrupt(clean, noise)
+    for ti, name in enumerate(talas):
+        hits = [dict.fromkeys(_IDENTIFIERS, 0) for _ in grid]
+        score_sum = [dict.fromkeys(_IDENTIFIERS, 0.0) for _ in grid]
+        # Each trial's world (start offset, corruption seed) is drawn once and
+        # scored at every grid point, so the grid replays the same coin flips
+        # on the same performance; only one world is held at a time.
+        for trial in range(args.trials):
+            rng = np.random.default_rng(np.random.SeedSequence([args.seed, ti, trial]))
+            offset = int(rng.integers(0, get_tala(name).matra_count))
+            noise_seed = int(rng.integers(0, 2**63))
+            spec = PerformanceSpec(tala=name, cycles=args.cycles, tempo_bpm=args.tempo, start_offset=offset)
+            clean = generate_performance(spec)
+            for g, (p_sub, p_del, p_ins) in enumerate(grid):
+                noisy = corrupt(clean, NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins, seed=noise_seed))
                 if len(noisy) == 0:
                     continue
                 for method, identify in _IDENTIFIERS.items():
                     result = identify(noisy.names)
-                    if result.best.tala == name:
-                        hits[method] += 1
-                    true_score = next(s for s in result.ranking if s.tala == name)
-                    score_sum[method] += true_score.normalized
-            for method in ("nw", "ratio"):
-                acc = hits[method] / args.trials
-                mean_score = score_sum[method] / args.trials
+                    hits[g][method] += result.best.tala == name
+                    score_sum[g][method] += next(s.normalized for s in result.ranking if s.tala == name)
+        for g, (p_sub, p_del, p_ins) in enumerate(grid):
+            for method in _IDENTIFIERS:
+                acc = hits[g][method] / args.trials
+                mean_score = score_sum[g][method] / args.trials
                 lines.append(
                     f"{name},{p_sub:g},{p_del:g},{p_ins:g},{method},{acc:.4f},{mean_score:.6f}"
                 )
@@ -201,6 +194,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputError("--length-strokes must be at least 1")
     if args.repeats < 0:
         raise InputError("--repeats must be non-negative")
+    if args.repeats > MAX_ARRAY_VALUES:
+        raise InputError(f"--repeats must not exceed {MAX_ARRAY_VALUES}")
     try:
         names = _bench_input(args.length_strokes)
     except ValueError as e:
@@ -263,6 +258,10 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
         raise InputError(f"invalid task config: {e}") from e
     if args.hidden * max(args.features, args.hidden, args.support + args.query) > MAX_ARRAY_VALUES:
         raise InputError(f"--hidden x max(--features, --hidden, --support + --query) exceeds {MAX_ARRAY_VALUES} values")
+    # The test tasks, and each meta-batch, are drawn into one list.
+    tasks = max(args.n_test_tasks, cfg.tasks_per_batch)
+    if tasks * (args.support + args.query) * max(args.features, args.hidden) > MAX_ARRAY_VALUES:
+        raise InputError(f"max(--n-test-tasks, tasks_per_batch) x (--support + --query) x max(--features, --hidden) exceeds {MAX_ARRAY_VALUES} values")
 
     n_classes = task_cfg.task_classes(task_cfg.class_range[0])  # the default range is fixed
     model = SurrogateModel.create(
