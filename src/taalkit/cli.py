@@ -141,7 +141,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # offset and noise seed are always valid, so offset 0 and seed 0 stand in.
     try:
         for name in talas:
-            PerformanceSpec(tala=name, cycles=args.cycles, tempo_bpm=args.tempo)
+            PerformanceSpec(tala=name, cycles=args.cycles)
         for p_sub, p_del, p_ins in grid:
             NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins)
     except ValueError as e:
@@ -158,7 +158,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             rng = np.random.default_rng(np.random.SeedSequence([args.seed, ti, trial]))
             offset = int(rng.integers(0, get_tala(name).matra_count))
             noise_seed = int(rng.integers(0, 2**63))
-            spec = PerformanceSpec(tala=name, cycles=args.cycles, tempo_bpm=args.tempo, start_offset=offset)
+            spec = PerformanceSpec(tala=name, cycles=args.cycles, start_offset=offset)
             clean = generate_performance(spec)
             for g, (p_sub, p_del, p_ins) in enumerate(grid):
                 noisy = corrupt(clean, NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins, seed=noise_seed))
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="noise-grid accuracy sweep, CSV output")
     p.add_argument("--talas", default="all", help="comma-separated tala names, or 'all'")
     p.add_argument("--cycles", type=int, default=2)
-    p.add_argument("--tempo", type=float, default=240.0)
     p.add_argument("--p-sub", default="0", help="comma-separated substitution probabilities")
     p.add_argument("--p-del", default="0", help="comma-separated deletion probabilities")
     p.add_argument("--p-ins", default="0", help="comma-separated insertion probabilities")

@@ -135,35 +135,32 @@ def query_objective(
 ) -> Tensor:
     """Mean post-adaptation query loss over a task batch, as a graph node.
 
-    Every task must have the head's class count (``ValueError`` otherwise).
-    Tasks of equal support and query size adapt together in one graph along
-    a leading task axis, each from its own copy of ``head``; groups form in
-    order of first appearance and keep their tasks in task order.  Query
-    logits that are not finite raise ``DivergenceError(inner_steps)``.
+    Every task must have the head's class count and the first task's
+    support and query sizes (``ValueError`` naming the task otherwise).
+    The batch adapts in one graph along a leading task axis, each task from
+    its own copy of ``head``.  Query logits that are not finite raise
+    ``DivergenceError(inner_steps)``.
     """
     n_classes = head_n_classes(head)
-    groups: dict[tuple[int, int], list[FewShotTask]] = {}
+    sizes = (len(tasks[0].support_y), len(tasks[0].query_y))
     for task in tasks:
         if task.n_classes != n_classes:
             raise ValueError(
                 f"task {task.task_id} has {task.n_classes} classes but the head has {n_classes}"
             )
-        groups.setdefault((len(task.support_y), len(task.query_y)), []).append(task)
-    total = None
-    for group in groups.values():
-        sh = np.stack([model.feature_map.apply(t.support_x) for t in group])
-        qh = np.stack([model.feature_map.apply(t.query_x) for t in group])
-        w = np.stack([class_weights_from_labels(t.support_y, n_classes) for t in group])
-        sy = np.stack([t.support_y for t in group])
-        qy = np.stack([t.query_y for t in group])
-        path = inner_adapt(
-            sh, sy, tile_head(head, len(group)), w, cfg.alpha, cfg.inner_steps, cfg.order == 2
-        )
-        qlogits = head_logits(qh, path[-1])
-        _check_finite([qlogits], cfg.inner_steps)
-        qloss = wce_loss(qlogits, qy, w).sum()
-        total = qloss if total is None else total + qloss
-    return total * (1.0 / len(tasks))
+        if (len(task.support_y), len(task.query_y)) != sizes:
+            raise ValueError(f"task {task.task_id} has support and query sizes other than the batch's {sizes}")
+    sh = np.stack([model.feature_map.apply(t.support_x) for t in tasks])
+    qh = np.stack([model.feature_map.apply(t.query_x) for t in tasks])
+    w = np.stack([class_weights_from_labels(t.support_y, n_classes) for t in tasks])
+    sy = np.stack([t.support_y for t in tasks])
+    qy = np.stack([t.query_y for t in tasks])
+    path = inner_adapt(
+        sh, sy, tile_head(head, len(tasks)), w, cfg.alpha, cfg.inner_steps, cfg.order == 2
+    )
+    qlogits = head_logits(qh, path[-1])
+    _check_finite([qlogits], cfg.inner_steps)
+    return wce_loss(qlogits, qy, w).sum() * (1.0 / len(tasks))
 
 
 def meta_gradients(
@@ -242,9 +239,10 @@ def meta_test_adapt(
     time), so a ``DivergenceError`` carries the running step number.  When
     the task's class count differs from the head's, the output layer is
     redrawn from ``redim_seed`` and the first layer carries over.  The trace
-    row at step k holds support and query loss after k steps, NaN where
-    that head's logits are not finite; every head on the path is scored in
-    one stacked forward pass.
+    row at step k holds support and query loss after k steps; every head on
+    the path is scored in one stacked forward pass.  Non-finite support or
+    query logits in that pass are a divergence as in ``query_objective``:
+    ``DivergenceError(max(1, k))`` for the earliest such step k.
 
     ``head`` may also be a list of heads: they adapt side by side in one
     stacked graph, and the result is one ``AdaptResult`` per head, in order.
@@ -252,14 +250,11 @@ def meta_test_adapt(
     """
     single = head is None or isinstance(head[0], Tensor)
     bases = [model.head if head is None else head] if single else list(head)
-    rng = None
-    starts = []
-    for base in bases:
-        if task.n_classes != head_n_classes(base):
-            if rng is None:
-                rng = np.random.default_rng(cfg.seed if redim_seed is None else redim_seed)
-            base = with_new_head_output(base, rng, task.n_classes)
-        starts.append(base)
+    rng = np.random.default_rng(cfg.seed if redim_seed is None else redim_seed)
+    starts = [
+        base if task.n_classes == head_n_classes(base) else with_new_head_output(base, rng, task.n_classes)
+        for base in bases
+    ]
 
     n = len(bases)
     sh = model.feature_map.apply(task.support_x)
@@ -273,14 +268,12 @@ def meta_test_adapt(
     # Row k * n + i of the stacked pass is head i after k steps.
     trace_heads = [Tensor(np.concatenate([p.data for p in layer])) for layer in zip(*path)]
     s_logits, q_logits = head_logits(sh, trace_heads).data, head_logits(qh, trace_heads).data
-    ok = np.isfinite(s_logits).all(axis=(1, 2)) & np.isfinite(q_logits).all(axis=(1, 2))
-    sup, q = np.full(len(ok), np.nan), np.full(len(ok), np.nan)
-    if ok.any():
-        m = int(ok.sum())
-        sw = np.tile(w, (m, 1))
-        sup[ok] = wce_loss(s_logits[ok], np.tile(task.support_y, (m, 1)), sw).data
-        q[ok] = wce_loss(q_logits[ok], np.tile(task.query_y, (m, 1)), sw).data
-    sup, q = sup.reshape(len(path), n), q.reshape(len(path), n)
+    finite = np.isfinite(s_logits).all(axis=(1, 2)) & np.isfinite(q_logits).all(axis=(1, 2))
+    if not finite.all():
+        raise DivergenceError(max(1, int(np.argmin(finite)) // n))
+    sw = np.tile(w, (len(finite), 1))
+    sup = wce_loss(s_logits, np.tile(task.support_y, (len(finite), 1)), sw).data.reshape(-1, n)
+    q = wce_loss(q_logits, np.tile(task.query_y, (len(finite), 1)), sw).data.reshape(-1, n)
     predicted = np.argmax(q_logits[-n:], axis=-1)
     results = [
         AdaptResult(

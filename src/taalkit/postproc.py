@@ -47,7 +47,8 @@ class FrameLabelSequence:
     is converted in one step and checked against the vocabulary with one
     min and one max; any other input is converted element by element with
     ``int()``, so floats truncate and bools count as 0 and 1.  Label ids
-    must fit in int64 (``OverflowError`` otherwise).
+    must fit in int64 (``OverflowError`` otherwise).  A vocabulary entry's
+    id must be its position, since labels index the vocabulary.
     """
 
     label_array: np.ndarray
@@ -65,8 +66,10 @@ class FrameLabelSequence:
             arr = np.array([int(v) for v in labels], dtype=object)
         if not arr.size:
             raise ValueError("frame label sequence is empty")
-        if hop_seconds <= 0:
-            raise ValueError("hop_seconds must be positive")
+        if not 0 < hop_seconds < math.inf:
+            raise ValueError("hop_seconds must be positive and finite")
+        if any(s.id != i for i, s in enumerate(vocabulary)):
+            raise ValueError("vocabulary ids must equal their positions")
         n = len(vocabulary)
         if vocabulary and (arr.min() < 0 or arr.max() >= n):
             bad = sorted({v for v in arr.tolist() if not 0 <= v < n})
@@ -187,8 +190,8 @@ def label_no_stroke(frames: FrameLabelSequence, envelope: Sequence[float]) -> Fr
     env = np.asarray(envelope, dtype=np.float64)
     if env.ndim != 1 or len(env) != len(frames):
         raise ValueError(f"envelope length {env.shape} does not match frame count {len(frames)}")
-    if np.any(env < 0):
-        raise ValueError("envelope amplitudes must be non-negative")
+    if not ((env >= 0) & np.isfinite(env)).all():
+        raise ValueError("envelope amplitudes must be non-negative and finite")
     ns = frames.no_stroke_id()
     if ns is None:
         raise ValueError(f"vocabulary has no {NO_STROKE!r} label to assign")
@@ -274,8 +277,8 @@ def onset_f1(
     headline averages are unweighted means over classes present in the
     reference; ``weighted_f1`` weights those classes by reference support.
     """
-    if collar_seconds <= 0:
-        raise ValueError("collar must be positive")
+    if not 0 < collar_seconds < math.inf:
+        raise ValueError("collar must be positive and finite")
     ref_times, est_times = _times_by_class(reference), _times_by_class(estimate)
     classes = list(ref_times) + [c for c in est_times if c not in ref_times]
     per_class: dict[str, ClassScore] = {}

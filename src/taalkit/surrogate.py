@@ -60,15 +60,17 @@ class FrozenFeatureMap:
         return np.tanh(x @ self.weight + self.bias)
 
 
+def _layer(rng: np.random.Generator, n_in: int, n_out: int) -> list[Tensor]:
+    """Fresh affine layer [W ~ N(0, 1/n_in), b = 0]."""
+    return [
+        Tensor(rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out)), requires_grad=True),
+        Tensor(np.zeros(n_out), requires_grad=True),
+    ]
+
+
 def init_head(rng: np.random.Generator, hidden: int, n_classes: int) -> list[Tensor]:
     """Fresh trainable head parameters [W1, b1, W2, b2]."""
-    s1 = 1.0 / np.sqrt(hidden)
-    return [
-        Tensor(rng.normal(0.0, s1, size=(hidden, hidden)), requires_grad=True),
-        Tensor(np.zeros(hidden), requires_grad=True),
-        Tensor(rng.normal(0.0, s1, size=(hidden, n_classes)), requires_grad=True),
-        Tensor(np.zeros(n_classes), requires_grad=True),
-    ]
+    return _layer(rng, hidden, hidden) + _layer(rng, hidden, n_classes)
 
 
 def head_logits(features, params: Sequence[Tensor]) -> Tensor:
@@ -118,15 +120,8 @@ def with_new_head_output(
     params: Sequence[Tensor], rng: np.random.Generator, n_classes: int
 ) -> list[Tensor]:
     """Keep the first head layer, redraw the output layer for a new class count."""
-    w1, b1 = params[0], params[1]
-    hidden = w1.shape[1]
-    s = 1.0 / np.sqrt(hidden)
-    return [
-        Tensor(w1.data.copy(), requires_grad=True),
-        Tensor(b1.data.copy(), requires_grad=True),
-        Tensor(rng.normal(0.0, s, size=(hidden, n_classes)), requires_grad=True),
-        Tensor(np.zeros(n_classes), requires_grad=True),
-    ]
+    kept = [Tensor(p.data.copy(), requires_grad=True) for p in params[:2]]
+    return kept + _layer(rng, params[0].shape[1], n_classes)
 
 
 def class_weights(counts: np.ndarray) -> np.ndarray:

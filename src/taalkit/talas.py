@@ -106,6 +106,8 @@ class TalaDefinition:
         object.__setattr__(self, "theka_names", tuple(self.theka_names))
         if not self.theka_names:
             raise ValueError(f"{self.name}: theka must not be empty")
+        if any(n < 1 for n in self.vibhag_lengths):
+            raise ValueError(f"{self.name}: vibhag lengths {self.vibhag_lengths} must each be at least 1")
         if sum(self.vibhag_lengths) != self.matra_count:
             raise ValueError(f"{self.name}: vibhag lengths {self.vibhag_lengths} do not sum to {self.matra_count}")
         if NO_STROKE in self.theka_names:

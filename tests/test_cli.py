@@ -370,11 +370,10 @@ class TestExitCodes:
         "argv",
         [
             ["eval", "--cycles", "0"],
-            ["eval", "--tempo", "0"],
-            ["eval", "--tempo", "inf"],
-            ["eval", "--tempo", "nan"],
-            ["eval", "--tempo", "1e-306"],
-            ["eval", "--tempo", "5e-324"],
+            ["eval", "--p-sub", ","],
+            ["eval", "--talas", ","],
+            ["eval", "--p-ins", "nan"],
+            ["eval", "--p-del", "-0.1"],
             ["eval", "--p-sub", "0.6", "--p-del", "0.5"],
             DEMO_ARGS + ["--hidden", "0"],
             DEMO_ARGS + ["--hidden", "-1"],
@@ -393,6 +392,10 @@ class TestExitCodes:
             DEMO_ARGS + ["--alpha=1.3732021482183925e+308", "--inner-steps=1", "--epochs=1",
                          "--adapt-iters=1", "--tasks-per-batch=1", "--support=1", "--query=1",
                          "--features=1", "--hidden=1", "--n-test-tasks=1"],
+            # The same overflow in test-time adaptation, with no meta-training.
+            ["maml-demo", "--features", "1", "--support", "1", "--query", "1", "--hidden", "1",
+             "--alpha", "1.3732021482183925e308", "--inner-steps", "1", "--adapt-iters", "1",
+             "--epochs", "0", "--n-test-tasks", "1"],
         ],
     )
     def test_bad_value_is_exit_2_with_one_line(self, argv, tmp_path, capsys):

@@ -250,13 +250,11 @@ def _resized(task, support, query):
 
 class TestBatchedObjective:
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("sizes", [None, [(32, 8), (20, 8), (32, 8), (20, 5), (32, 8)]])
+    @pytest.mark.parametrize("sizes", [None])  # every task keeps the stream's sizes
     def test_equals_per_task_loop(self, order, sizes):
         tcfg = SyntheticTaskConfig(n_features=20, support_size=32, query_size=8, seed=order)
         model = SurrogateModel.create(20, 16, 7, np.random.default_rng(order))
         tasks = take_tasks(synth_task_source(tcfg), 5)
-        if sizes is not None:  # three groups of equal shape, interleaved
-            tasks = [_resized(t, s, q) for t, (s, q) in zip(tasks, sizes)]
         cfg = MamlConfig(alpha=0.3, inner_steps=3, order=order)
         batched = query_objective(model, model.head, tasks, cfg)
         loop = reference_query_objective(model, model.head, tasks, cfg)
@@ -266,6 +264,22 @@ class TestBatchedObjective:
         assert lb == batched.item()
         for a, b in zip(gb, gl):
             assert relative_error(a.data, b.data) < 1e-12
+
+    @pytest.mark.parametrize("sizes", [(20, 8), (32, 5)])
+    def test_mixed_sizes_fail_before_adapting(self, sizes, monkeypatch):
+        # A batch shares the first task's support and query sizes; another
+        # size is refused, naming the task, before any graph is built.
+        calls = []
+        monkeypatch.setattr(taalkit.maml, "inner_adapt", lambda *args: calls.append(args))
+        tcfg = SyntheticTaskConfig(n_features=20, support_size=32, query_size=8, seed=1)
+        model = SurrogateModel.create(20, 16, 7, np.random.default_rng(1))
+        tasks = take_tasks(synth_task_source(tcfg), 4)
+        tasks[2] = _resized(tasks[2], *sizes)
+        cfg = MamlConfig(alpha=0.3, inner_steps=3)
+        msg = rf"task {tasks[2].task_id} has support and query sizes other than the batch's \(32, 8\)"
+        with pytest.raises(ValueError, match=msg):
+            query_objective(model, model.head, tasks, cfg)
+        assert calls == []
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_mixed_class_counts_fail_as_in_the_loop(self, order):
@@ -290,14 +304,18 @@ class TestBatchedObjective:
         loop = reference_query_objective(model, model.head, fives, cfg)
         assert relative_error(batched.data, loop.data) < 1e-12
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_query_logit_overflow_is_a_divergence(self, order):
+    @staticmethod
+    def _query_overflow_setup():
         # One step of size 1.37e308 leaves the one-unit head finite on the
         # support frame, but its query logits overflow.
         tcfg = SyntheticTaskConfig(n_features=1, support_size=1, query_size=1)
         rng = np.random.default_rng(np.random.SeedSequence([0, 99]))
         model = SurrogateModel.create(1, 1, tcfg.task_classes(6), rng)
-        tasks = take_tasks(synth_task_source(tcfg), 1)
+        return model, take_tasks(synth_task_source(tcfg), 1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_query_logit_overflow_is_a_divergence(self, order):
+        model, tasks = self._query_overflow_setup()
         cfg = MamlConfig(alpha=1.3732021482183925e308, inner_steps=1, order=order)
         task = tasks[0]
         w = class_weights_from_labels(task.support_y, task.n_classes)
@@ -308,6 +326,22 @@ class TestBatchedObjective:
             with pytest.raises(DivergenceError) as exc:
                 query_objective(model, model.head, tasks, cfg)
         assert exc.value.step == 1
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_query_logit_overflow_in_test_time_adaptation_is_a_divergence(self, paired):
+        # The same overflow at test time raises as in meta-training; no
+        # trace row or loss is NaN.
+        model, tasks = self._query_overflow_setup()
+        cfg = MamlConfig(alpha=1.3732021482183925e308, inner_steps=1, adapt_iters=1)
+        runs = [lambda: paired_few_shot_eval(model, tasks, cfg)] if paired else [
+            lambda: meta_test_adapt(model, tasks[0], cfg),
+            lambda: reference_meta_test_adapt(model, tasks[0], cfg),
+        ]
+        for run in runs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError) as exc:
+                    run()
+            assert exc.value.step == 1
 
     def test_inner_adapt_batch_equals_each_task(self):
         rng = np.random.default_rng(11)
@@ -588,6 +622,8 @@ def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
     Divergence is numbered by the rule in ``inner_adapt``'s docstring: step
     k fails when the parameters, support logits, loss or gradients are not
     finite at its start, and non-finite final parameters fail the last step.
+    Non-finite support or query logits on the trace fail step max(1, k) for
+    the earliest such step k.
     """
     single = head is None or isinstance(head[0], Tensor)
     bases = [model.head if head is None else head] if single else list(head)
@@ -608,20 +644,17 @@ def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
     sy = np.tile(task.support_y, (n, 1))
     qy = np.tile(task.query_y, (n, 1))
 
-    def losses(p):
+    def losses(k, p):
         s_logits, q_logits = head_logits(sh, p).data, head_logits(qh, p).data
-        ok = np.isfinite(s_logits).all(axis=(1, 2)) & np.isfinite(q_logits).all(axis=(1, 2))
-        sup, q = np.full(n, np.nan), np.full(n, np.nan)
-        if ok.any():
-            sup[ok] = wce_loss(s_logits[ok], sy[ok], w[ok]).data
-            q[ok] = wce_loss(q_logits[ok], qy[ok], w[ok]).data
-        return sup, q
+        if not (np.isfinite(s_logits).all() and np.isfinite(q_logits).all()):
+            raise DivergenceError(max(1, k))
+        return k, wce_loss(s_logits, sy, w).data, wce_loss(q_logits, qy, w).data
 
     def finite(*tensors):
         return all(np.isfinite(t.data).all() for t in tensors)
 
     steps = cfg.adapt_iters * cfg.inner_steps
-    rows = [(0, *losses(params))]
+    path = [params]
     for step in range(1, steps + 1):
         logits = head_logits(sh, params)
         if not finite(*params, logits):
@@ -631,9 +664,12 @@ def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
         if not finite(loss, *grads):
             raise DivergenceError(step)
         params = sgd_step(params, grads, cfg.alpha)
-        rows.append((step, *losses(params)))
+        path.append(params)
     if steps and not finite(*params):
         raise DivergenceError(steps)
+    # The trace is scored once the steps are done, so a divergence among
+    # them is reported before a non-finite trace row.
+    rows = [losses(k, p) for k, p in enumerate(path)]
 
     predicted = np.argmax(head_logits(qh, params).data, axis=-1)
     results = [

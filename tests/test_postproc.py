@@ -26,7 +26,7 @@ from taalkit.postproc import (
     within_collar,
     write_onsets_csv,
 )
-from taalkit.talas import NO_STROKE, make_vocabulary
+from taalkit.talas import NO_STROKE, StrokeLabel, make_vocabulary
 
 VOCAB_AB = make_vocabulary(["A", "B"], include_no_stroke=True)
 NS = 2  # id of No-stroke in VOCAB_AB
@@ -196,6 +196,18 @@ class TestFrameLabelSequence:
         with pytest.raises(ValueError):
             frames([0], hop=0.0)
 
+    @pytest.mark.parametrize("hop", [math.nan, math.inf])
+    def test_non_finite_hop_rejected(self, hop):
+        with pytest.raises(ValueError, match="hop_seconds must be positive"):
+            frames([0], hop=hop)
+
+    def test_vocabulary_ids_must_be_positions(self):
+        # Labels index the vocabulary by position, so an id elsewhere would
+        # make name_of and no_stroke_id disagree.
+        vocab = (StrokeLabel(1, "Dha"), StrokeLabel(0, NO_STROKE))
+        with pytest.raises(ValueError, match="vocabulary ids must equal their positions"):
+            FrameLabelSequence([0, 1], vocabulary=vocab)
+
     def test_labels_outside_vocabulary_rejected(self):
         with pytest.raises(ValueError):
             frames([0, 3])
@@ -356,6 +368,11 @@ class TestLabelNoStroke:
         with pytest.raises(ValueError):
             label_no_stroke(frames([0, 0]), [1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_envelope_rejected(self, bad):
+        with pytest.raises(ValueError, match="envelope amplitudes must be non-negative"):
+            label_no_stroke(frames([0, 0]), [1.0, bad])
+
     def test_requires_no_stroke_in_vocabulary(self):
         f = FrameLabelSequence((0, 0), vocabulary=make_vocabulary(["A"]))
         with pytest.raises(ValueError):
@@ -447,6 +464,12 @@ class TestOnsetF1:
         ann = OnsetAnnotation(((0.0, "A"),))
         with pytest.raises(ValueError):
             onset_f1(ann, ann, collar_seconds=0.0)
+
+    @pytest.mark.parametrize("collar", [math.nan, math.inf])
+    def test_non_finite_collar_rejected(self, collar):
+        ann = OnsetAnnotation(((0.0, "A"),))
+        with pytest.raises(ValueError, match="collar must be positive"):
+            onset_f1(ann, ann, collar_seconds=collar)
 
 
 def reference_max_matching(ref_times, est_times, collar):

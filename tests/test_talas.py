@@ -271,6 +271,12 @@ class TestDefinitionValidation:
         with pytest.raises(ValueError):
             TalaDefinition(**self._base_kwargs(vibhags=(1, 2)))
 
+    @pytest.mark.parametrize("vibhags", [(-1, 5), (0, 4)])
+    def test_vibhag_below_one_rejected(self, vibhags):
+        # Each sums to the matra count, so only the per-vibhag check catches it.
+        with pytest.raises(ValueError, match="must each be at least 1"):
+            TalaDefinition(**self._base_kwargs(vibhags=vibhags))
+
     @pytest.mark.parametrize("bad", ["A B", ""])
     def test_invalid_theka_token_rejected(self, bad):
         with pytest.raises(ValueError, match="stroke name must be a non-empty token"):
