@@ -28,7 +28,7 @@ from taalkit import (
 # amplitude-decayed examples around them: same structure, new "drum".
 task_cfg = SyntheticTaskConfig(
     n_features=12,
-    class_range=(4, 4),
+    stroke_classes=4,
     bank_size=8,
     support_size=24,
     query_size=12,

@@ -35,6 +35,9 @@ GAP_PENALTY = -2
 # DP cells (pairs x m x w) per batch_nw_scores chunk; bounds its working set
 # of three bytes a cell (the int16 gains and their boolean comparison).
 DP_CHUNK_CELLS = 1 << 19
+# Distinct windows per batch_nw_scores call in sliding_match_score, which
+# keeps only each window's best rotation before it scores the next chunk.
+WINDOW_CHUNK = 1024
 
 
 def nw_score(x_ref, y) -> int:
@@ -191,8 +194,10 @@ def sliding_match_score(
         windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)[open_at]
         keys = windows.view(np.dtype((np.void, m * dtype.itemsize))).ravel()
         distinct, inverse = np.unique(keys, return_inverse=True)
-        scores = batch_nw_scores(rotations, distinct.view(dtype).reshape(-1, m))
-        best[open_at] = scores.max(axis=0)[inverse]
+        distinct = distinct.view(dtype).reshape(-1, m)
+        peaks = [batch_nw_scores(rotations, distinct[i:i + WINDOW_CHUNK]).max(axis=0)
+                 for i in range(0, len(distinct), WINDOW_CHUNK)]
+        best[open_at] = np.concatenate(peaks)[inverse]
     block_maxima = np.maximum.reduceat(best, starts)
     return MatchResult(sigma_nw=float(np.mean(block_maxima)), block_maxima=tuple(block_maxima.tolist()))
 

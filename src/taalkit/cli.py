@@ -263,7 +263,7 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
     if tasks * (args.support + args.query) * max(args.features, args.hidden) > MAX_ARRAY_VALUES:
         raise InputError(f"max(--n-test-tasks, tasks_per_batch) x (--support + --query) x max(--features, --hidden) exceeds {MAX_ARRAY_VALUES} values")
 
-    n_classes = task_cfg.task_classes(task_cfg.class_range[0])  # the default range is fixed
+    n_classes = task_cfg.task_classes(task_cfg.stroke_classes)
     model = SurrogateModel.create(
         n_features=task_cfg.n_features,
         hidden=args.hidden,

@@ -15,7 +15,7 @@ meta-training cannot touch it by construction.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -189,8 +189,7 @@ def meta_update(
 
 @dataclass
 class MetaTrainResult:
-    head: list[Tensor]
-    curve: list[tuple[int, float]] = field(default_factory=list)
+    curve: list[tuple[int, float]]
 
 
 def meta_train(
@@ -200,7 +199,7 @@ def meta_train(
 ) -> MetaTrainResult:
     """Run ``cfg.epochs`` outer updates, consuming tasks from the stream.
 
-    The model's head is replaced with the trained one; the returned curve
+    The model's head is replaced with the trained one; the result's curve
     holds ``(epoch, mean_query_loss)`` per outer step, loss measured before
     that step's update.
     """
@@ -211,7 +210,7 @@ def meta_train(
         head, qloss = meta_update(model, head, tasks, cfg)
         curve.append((epoch, qloss))
     model.head = head
-    return MetaTrainResult(head=head, curve=curve)
+    return MetaTrainResult(curve=curve)
 
 
 @dataclass
@@ -229,7 +228,7 @@ def meta_test_adapt(
     model: SurrogateModel,
     task: FewShotTask,
     cfg: MamlConfig,
-    head: Sequence[Tensor] | Sequence[Sequence[Tensor]] | None = None,
+    head: Sequence[Sequence[Tensor]] | None = None,
     redim_seed: int | np.random.SeedSequence | None = None,
 ) -> AdaptResult | list[AdaptResult]:
     """Adapt a copy of the head to one unseen task and score its query set.
@@ -244,12 +243,12 @@ def meta_test_adapt(
     query logits in that pass are a divergence as in ``query_objective``:
     ``DivergenceError(max(1, k))`` for the earliest such step k.
 
-    ``head`` may also be a list of heads: they adapt side by side in one
-    stacked graph, and the result is one ``AdaptResult`` per head, in order.
-    Heads that need redrawing draw in turn from one generator.
+    ``head`` None adapts the model's head and returns one ``AdaptResult``; a
+    list of heads adapts them side by side in one stacked graph and returns
+    one ``AdaptResult`` per head, in order.  Heads that need redrawing draw
+    in turn from one generator.
     """
-    single = head is None or isinstance(head[0], Tensor)
-    bases = [model.head if head is None else head] if single else list(head)
+    bases = [model.head] if head is None else list(head)
     rng = np.random.default_rng(cfg.seed if redim_seed is None else redim_seed)
     starts = [
         base if task.n_classes == head_n_classes(base) else with_new_head_output(base, rng, task.n_classes)
@@ -285,7 +284,7 @@ def meta_test_adapt(
         )
         for i, (base, start) in enumerate(zip(bases, starts))
     ]
-    return results[0] if single else results
+    return results[0] if head is None else results
 
 
 @dataclass

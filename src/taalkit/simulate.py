@@ -66,12 +66,11 @@ class PerformanceSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-stroke corruption probabilities and the substitution alphabet."""
+    """Per-stroke corruption probabilities and the seed that draws them."""
 
     p_sub: float = 0.0
     p_del: float = 0.0
     p_ins: float = 0.0
-    insertion_vocabulary: tuple[str, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class NoiseSpec:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.p_sub + self.p_del > 1.0:
             raise ValueError("p_sub + p_del must not exceed 1")
-        if not self.insertion_vocabulary:
-            object.__setattr__(self, "insertion_vocabulary", default_insertion_vocabulary())
 
 
 def generate_performance(spec: PerformanceSpec) -> StrokeSequence:
@@ -102,21 +99,22 @@ def corrupt(seq: StrokeSequence, noise: NoiseSpec) -> StrokeSequence:
     """Apply deletion, substitution, and insertion noise to a sequence.
 
     Per original stroke: deleted with p_del; a survivor is substituted with
-    p_sub by a uniformly random different stroke from the insertion
-    vocabulary.  After each original position, with p_ins a random stroke is
-    inserted at the midpoint of the surrounding original onsets (or one beat
-    after the end).  Surviving strokes keep their onset and order.
+    p_sub by a uniformly random different stroke from
+    ``default_insertion_vocabulary()``.  After each original position, with
+    p_ins a random stroke from it is inserted at the midpoint of the
+    surrounding original onsets (or one beat after the end).  Surviving
+    strokes keep their onset and order.
     """
     n = len(seq)
     if n == 0:
         return seq
     rng = np.random.default_rng(noise.seed)
-    vocab = list(noise.insertion_vocabulary)
+    vocab = default_insertion_vocabulary()
     v = len(vocab)
 
     u_del = rng.random(n)
     u_sub = rng.random(n)
-    sub_pick = rng.integers(0, max(v - 1, 1), size=n)
+    sub_pick = rng.integers(0, v - 1, size=n)
     u_ins = rng.random(n)
     ins_pick = rng.integers(0, v, size=n)
 
@@ -129,14 +127,14 @@ def corrupt(seq: StrokeSequence, noise: NoiseSpec) -> StrokeSequence:
     for i in range(n):
         if u_del[i] >= noise.p_del:
             name = names[i]
-            if u_sub[i] < noise.p_sub and v > 1:
+            if u_sub[i] < noise.p_sub:
                 pick = int(sub_pick[i])
                 if name in vocab and pick >= vocab.index(name):
                     pick += 1
-                name = vocab[pick % v]
+                name = vocab[pick]
             out_names.append(name)
             out_times.append(times[i])
-        if u_ins[i] < noise.p_ins and v > 0:
+        if u_ins[i] < noise.p_ins:
             nxt = times[i + 1] if i + 1 < n else times[i] + step
             out_names.append(vocab[int(ins_pick[i])])
             out_times.append((times[i] + nxt) / 2.0)

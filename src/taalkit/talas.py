@@ -114,6 +114,9 @@ class TalaDefinition:
             raise ValueError(f"{self.name}: {NO_STROKE} is reserved and cannot appear in a tala vocabulary")
         # Building the vocabulary rejects a token that is not a valid stroke name.
         self.stroke_vocabulary
+        for variant, canonical in self.gharana_equivalents.items():
+            if variant in self.theka_names or canonical not in self.theka_names:
+                raise ValueError(f"{self.name}: gharana map {variant} -> {canonical} must lead from outside the theka into it")
         if not self.display_name:
             object.__setattr__(self, "display_name", self.name)
 

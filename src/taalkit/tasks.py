@@ -11,8 +11,9 @@ extra No-stroke class, mirroring how quiet release tails are annotated.
 The bank is what makes meta-learning meaningful here: tasks differ in
 jitter, imbalance, and sampling noise, but the underlying strokes recur,
 so a good initialization transfers while a random one starts from nothing.
-A task with ``c`` stroke classes uses the first ``c`` bank members in
-order, the analog of recordings that share a stroke vocabulary.
+Every task of a stream has the config's ``stroke_classes`` classes ``c``
+and uses the first ``c`` bank members in order, the analog of recordings
+that share a stroke vocabulary.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class SyntheticTaskConfig:
     """Knobs of the task distribution; one config defines one stream."""
 
     n_features: int = 20
-    class_range: tuple[int, int] = (6, 6)
+    stroke_classes: int = 6
     bank_size: int = 12
     jitter_scale: float = 0.15
     noise_scale: float = 0.1
@@ -67,11 +68,10 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = self.class_range
         if self.n_features < 1:
             raise ValueError("n_features must be positive")
-        if not 1 <= lo <= hi <= self.bank_size:
-            raise ValueError(f"class_range {self.class_range} must fit in bank of {self.bank_size}")
+        if not 1 <= self.stroke_classes <= self.bank_size:
+            raise ValueError(f"stroke_classes {self.stroke_classes} must fit in bank of {self.bank_size}")
         if self.support_size < 1 or self.query_size < 1:
             raise ValueError("support and query sizes must be positive")
         if (self.support_size + self.query_size) * self.n_features > MAX_ARRAY_VALUES:
@@ -91,11 +91,10 @@ def synth_task_source(cfg: SyntheticTaskConfig) -> Iterator[FewShotTask]:
     rng = np.random.default_rng(cfg.seed)
     bank = rng.normal(0.0, 1.0, size=(cfg.bank_size, cfg.n_features))
     no_stroke_proto = rng.normal(0.0, 0.2, size=cfg.n_features)
-    lo, hi = cfg.class_range
+    c = cfg.stroke_classes
 
     task_id = 0
     while True:
-        c = int(rng.integers(lo, hi + 1))
         protos = bank[:c] + cfg.jitter_scale * rng.normal(size=(c, cfg.n_features))
         n = cfg.support_size + cfg.query_size
         # Without p, choice draws other numbers; the explicit p keeps every seeded stream.

@@ -216,7 +216,7 @@ def test_criterion_4_meta_gradient_fd():
         model = SurrogateModel.create(4, 4, 3, np.random.default_rng(1000 + idx))
         tcfg = SyntheticTaskConfig(
             n_features=4,
-            class_range=(3, 3),
+            stroke_classes=3,
             bank_size=4,
             support_size=6,
             query_size=4,

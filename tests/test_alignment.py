@@ -202,11 +202,15 @@ def noisy_renderings(draw, min_cycles=1, max_cycles=4):
         p_sub=draw(st.sampled_from([0.0, 0.1, 0.3])),
         p_del=draw(st.sampled_from([0.0, 0.1, 0.3])),
         p_ins=draw(st.sampled_from([0.0, 0.05, 0.2])),
-        insertion_vocabulary=TOKEN_POOL,
         seed=draw(st.integers(0, 2**32)),
     )
-    names = corrupt(generate_performance(spec), noise).names
-    return names[: draw(st.integers(1, max(1, len(names))))] or ("Zzz",)
+    names = list(corrupt(generate_performance(spec), noise).names)
+    # Corruption draws only built-in strokes; a transcriber also emits
+    # gharana variants and strokes no tala knows.
+    swaps = st.tuples(st.integers(0, max(0, len(names) - 1)), st.sampled_from(TOKEN_POOL))
+    for i, token in draw(st.lists(swaps, max_size=len(names) // 4)):
+        names[i] = token
+    return tuple(names[: draw(st.integers(1, max(1, len(names))))]) or ("Zzz",)
 
 
 stroke_inputs = st.one_of(

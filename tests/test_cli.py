@@ -366,36 +366,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # Each input names its own id, so deleting one input never renames
+    # another's case; a new input takes a descriptive id.
     @pytest.mark.parametrize(
         "argv",
         [
-            ["eval", "--cycles", "0"],
-            ["eval", "--p-sub", ","],
-            ["eval", "--talas", ","],
-            ["eval", "--p-ins", "nan"],
-            ["eval", "--p-del", "-0.1"],
-            ["eval", "--p-sub", "0.6", "--p-del", "0.5"],
-            DEMO_ARGS + ["--hidden", "0"],
-            DEMO_ARGS + ["--hidden", "-1"],
-            ["eval", "--seed", "-1"],
-            DEMO_ARGS + ["--seed", "-1"],
-            DEMO_ARGS + ["--alpha", "nan"],
-            DEMO_ARGS + ["--alpha", "inf"],
-            DEMO_ARGS + ["--beta", "nan"],
-            DEMO_ARGS + ["--beta", "inf"],
+            pytest.param(["eval", "--cycles", "0"], id="argv0"),
+            pytest.param(["eval", "--p-sub", ","], id="argv1"),
+            pytest.param(["eval", "--talas", ","], id="argv2"),
+            pytest.param(["eval", "--p-ins", "nan"], id="argv3"),
+            pytest.param(["eval", "--p-del", "-0.1"], id="argv4"),
+            pytest.param(["eval", "--p-sub", "0.6", "--p-del", "0.5"], id="argv5"),
+            pytest.param(DEMO_ARGS + ["--hidden", "0"], id="argv6"),
+            pytest.param(DEMO_ARGS + ["--hidden", "-1"], id="argv7"),
+            pytest.param(["eval", "--seed", "-1"], id="argv8"),
+            pytest.param(DEMO_ARGS + ["--seed", "-1"], id="argv9"),
+            pytest.param(DEMO_ARGS + ["--alpha", "nan"], id="argv10"),
+            pytest.param(DEMO_ARGS + ["--alpha", "inf"], id="argv11"),
+            pytest.param(DEMO_ARGS + ["--beta", "nan"], id="argv12"),
+            pytest.param(DEMO_ARGS + ["--beta", "inf"], id="argv13"),
             # Sizes whose arrays could not be allocated.
-            DEMO_ARGS + ["--support", str(10**12)],
-            DEMO_ARGS + ["--query", str(10**12)],
-            DEMO_ARGS + ["--features", str(10**12)],
-            DEMO_ARGS + ["--hidden", str(10**12)],
+            pytest.param(DEMO_ARGS + ["--support", str(10**12)], id="argv14"),
+            pytest.param(DEMO_ARGS + ["--query", str(10**12)], id="argv15"),
+            pytest.param(DEMO_ARGS + ["--features", str(10**12)], id="argv16"),
+            pytest.param(DEMO_ARGS + ["--hidden", str(10**12)], id="argv17"),
             # Finite adapted parameters whose query logits overflow.
-            DEMO_ARGS + ["--alpha=1.3732021482183925e+308", "--inner-steps=1", "--epochs=1",
-                         "--adapt-iters=1", "--tasks-per-batch=1", "--support=1", "--query=1",
-                         "--features=1", "--hidden=1", "--n-test-tasks=1"],
+            pytest.param(DEMO_ARGS + ["--alpha=1.3732021482183925e+308", "--inner-steps=1", "--epochs=1",
+                                      "--adapt-iters=1", "--tasks-per-batch=1", "--support=1", "--query=1",
+                                      "--features=1", "--hidden=1", "--n-test-tasks=1"], id="argv18"),
             # The same overflow in test-time adaptation, with no meta-training.
-            ["maml-demo", "--features", "1", "--support", "1", "--query", "1", "--hidden", "1",
-             "--alpha", "1.3732021482183925e308", "--inner-steps", "1", "--adapt-iters", "1",
-             "--epochs", "0", "--n-test-tasks", "1"],
+            pytest.param(["maml-demo", "--features", "1", "--support", "1", "--query", "1", "--hidden", "1",
+                          "--alpha", "1.3732021482183925e308", "--inner-steps", "1", "--adapt-iters", "1",
+                          "--epochs", "0", "--n-test-tasks", "1"], id="argv19"),
         ],
     )
     def test_bad_value_is_exit_2_with_one_line(self, argv, tmp_path, capsys):

@@ -44,7 +44,7 @@ def tiny_model(seed=0, n_features=4, hidden=4, n_classes=3):
 def easy_task_config(**overrides):
     base = dict(
         n_features=8,
-        class_range=(3, 3),
+        stroke_classes=3,
         bank_size=6,
         noise_scale=0.05,
         jitter_scale=0.05,
@@ -56,6 +56,17 @@ def easy_task_config(**overrides):
     )
     base.update(overrides)
     return SyntheticTaskConfig(**base)
+
+
+def chained_tasks(tcfg, stroke_classes, n_each):
+    """``n_each`` tasks from one stream per stroke-class count, chained and
+    numbered in order: a task list whose class counts differ."""
+    tasks = [
+        task
+        for c in stroke_classes
+        for task in take_tasks(synth_task_source(dataclasses.replace(tcfg, stroke_classes=c)), n_each)
+    ]
+    return [dataclasses.replace(task, task_id=i) for i, task in enumerate(tasks)]
 
 
 class TestConfig:
@@ -286,11 +297,10 @@ class TestBatchedObjective:
         # A task whose class count differs from the head's cannot be scored
         # by it; the batched objective refuses such a batch as the loop does.
         tcfg = SyntheticTaskConfig(
-            n_features=6, class_range=(3, 5), bank_size=6,
-            include_no_stroke=False, support_size=10, query_size=4, seed=3,
+            n_features=6, bank_size=6, include_no_stroke=False, support_size=10, query_size=4, seed=3,
         )
-        tasks = take_tasks(synth_task_source(tcfg), 8)
-        assert len({t.n_classes for t in tasks}) > 1
+        tasks = chained_tasks(tcfg, (5, 3, 4), 3)
+        assert [t.n_classes for t in tasks] == [5] * 3 + [3] * 3 + [4] * 3
         model = SurrogateModel.create(6, 5, 5, np.random.default_rng(3))
         cfg = MamlConfig(alpha=0.1, inner_steps=2, order=order)
         with pytest.raises(ValueError, match="weights shape"):
@@ -388,7 +398,7 @@ class TestMetaGradients:
     def test_second_order_matches_finite_differences(self, inner_steps):
         model = tiny_model(seed=inner_steps)
         tcfg = SyntheticTaskConfig(
-            n_features=4, class_range=(3, 3), bank_size=4, support_size=6,
+            n_features=4, stroke_classes=3, bank_size=4, support_size=6,
             query_size=4, include_no_stroke=False, seed=inner_steps,
         )
         tasks = take_tasks(synth_task_source(tcfg), 2)
@@ -409,7 +419,7 @@ class TestMetaGradients:
     def test_orders_agree_when_alpha_zero(self):
         model = tiny_model(seed=9)
         tcfg = SyntheticTaskConfig(
-            n_features=4, class_range=(3, 3), bank_size=4, support_size=6,
+            n_features=4, stroke_classes=3, bank_size=4, support_size=6,
             query_size=4, include_no_stroke=False, seed=9,
         )
         tasks = take_tasks(synth_task_source(tcfg), 2)
@@ -433,7 +443,7 @@ class TestMetaGradients:
     def test_orders_differ_with_adaptation(self):
         model = tiny_model(seed=10)
         tcfg = SyntheticTaskConfig(
-            n_features=4, class_range=(3, 3), bank_size=4, support_size=8,
+            n_features=4, stroke_classes=3, bank_size=4, support_size=8,
             query_size=6, include_no_stroke=False, seed=10,
         )
         tasks = take_tasks(synth_task_source(tcfg), 2)
@@ -447,7 +457,7 @@ class TestMetaUpdateAndTrain:
     def test_zero_beta_keeps_values(self):
         model = tiny_model(seed=11)
         tasks = take_tasks(synth_task_source(SyntheticTaskConfig(
-            n_features=4, class_range=(3, 3), bank_size=4, support_size=6,
+            n_features=4, stroke_classes=3, bank_size=4, support_size=6,
             query_size=4, include_no_stroke=False, seed=11,
         )), 2)
         new_head, loss = meta_update(model, model.head, tasks, MamlConfig(beta=0.0))
@@ -480,11 +490,11 @@ class TestMetaUpdateAndTrain:
             model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(14))
             result = meta_train(model, synth_task_source(tcfg),
                                 MamlConfig(epochs=15, alpha=0.05, beta=0.05, inner_steps=2))
-            return result
+            return result, model
 
-        a, b = run(), run()
+        (a, model_a), (b, model_b) = run(), run()
         assert a.curve == b.curve
-        for p, q in zip(a.head, b.head):
+        for p, q in zip(model_a.head, model_b.head):
             assert np.array_equal(p.data, q.data)
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -504,7 +514,8 @@ class TestMetaUpdateAndTrain:
             tcfg = easy_task_config(seed=16)
             model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(16))
             cfg = MamlConfig(epochs=30, alpha=0.1, beta=0.05, inner_steps=2, order=order)
-            heads.append(meta_train(model, synth_task_source(tcfg), cfg).head)
+            meta_train(model, synth_task_source(tcfg), cfg)
+            heads.append(model.head)
         assert any(
             not np.array_equal(p.data, q.data) for p, q in zip(heads[0], heads[1])
         )
@@ -549,7 +560,7 @@ class TestMetaTestAdapt:
         assert out.trace[-1][1] < out.trace[0][1]
 
     def test_redimensioning(self):
-        tcfg = easy_task_config(seed=21, class_range=(4, 4), bank_size=6)
+        tcfg = easy_task_config(seed=21, stroke_classes=4, bank_size=6)
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(21))
         task = next(synth_task_source(tcfg))  # 4 classes vs 3-class head
         out = meta_test_adapt(model, task, MamlConfig(adapt_iters=0), redim_seed=5)
@@ -587,7 +598,7 @@ class TestMetaTestAdapt:
         cfg = MamlConfig(alpha=1e308, inner_steps=1, adapt_iters=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as exc:
-                meta_test_adapt(model, task, cfg, head=head)
+                meta_test_adapt(model, task, cfg, head=[head])
         assert exc.value.step == 2
         assert "diverged at inner step 2" in str(exc.value)
 
@@ -599,7 +610,7 @@ class TestMetaTestAdapt:
         cfg = MamlConfig(alpha=1e308, inner_steps=1, adapt_iters=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as exc:
-                meta_test_adapt(model, task, cfg, head=head)
+                meta_test_adapt(model, task, cfg, head=[head])
         assert exc.value.step == 1
 
     def test_adaptation_on_training_distribution_reaches_high_accuracy(self):
@@ -625,8 +636,7 @@ def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
     Non-finite support or query logits on the trace fail step max(1, k) for
     the earliest such step k.
     """
-    single = head is None or isinstance(head[0], Tensor)
-    bases = [model.head if head is None else head] if single else list(head)
+    bases = [model.head] if head is None else list(head)
     rng = None
     starts = []
     for base in bases:
@@ -682,7 +692,7 @@ def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
         )
         for i, (base, start) in enumerate(zip(bases, starts))
     ]
-    return results[0] if single else results
+    return results[0] if head is None else results
 
 
 def assert_same_adaptation(a, b):
@@ -701,7 +711,7 @@ class TestAgainstStepwiseReference:
     @pytest.mark.parametrize("task_classes", [3, 4])
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_equals_stepwise_reference(self, adapt_iters, inner_steps, task_classes, n_heads):
-        tcfg = easy_task_config(seed=28, class_range=(task_classes, task_classes))
+        tcfg = easy_task_config(seed=28, stroke_classes=task_classes)
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(28))
         task = next(synth_task_source(tcfg))
         cfg = MamlConfig(alpha=0.2, inner_steps=inner_steps, adapt_iters=adapt_iters)
@@ -724,14 +734,14 @@ class TestAgainstStepwiseReference:
         for adapt in (meta_test_adapt, reference_meta_test_adapt):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(DivergenceError) as exc:
-                    adapt(model, task, cfg, head=head)
+                    adapt(model, task, cfg, head=[head])
             assert exc.value.step == 2
 
     @pytest.mark.parametrize("seed", [7, 1])
     def test_paired_eval_equals_stepwise_reference(self, seed, monkeypatch):
-        tcfg = easy_task_config(seed=seed, class_range=(2, 4))
+        tcfg = easy_task_config(seed=seed)
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(seed))
-        tasks = take_tasks(synth_task_source(tcfg), 4)
+        tasks = chained_tasks(tcfg, (2, 3, 4), 2)
         cfg = MamlConfig(alpha=0.2, inner_steps=3, adapt_iters=2)
         got = paired_few_shot_eval(model, tasks, cfg, baseline_seed=seed)
         monkeypatch.setattr(taalkit.maml, "meta_test_adapt", reference_meta_test_adapt)
@@ -761,7 +771,7 @@ class TestAgainstStepwiseReference:
 class TestStackedAdaptation:
     @pytest.mark.parametrize("task_classes", [3, 4])
     def test_equals_separate_calls(self, task_classes):
-        tcfg = easy_task_config(seed=25, class_range=(task_classes, task_classes))
+        tcfg = easy_task_config(seed=25, stroke_classes=task_classes)
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(25))
         task = next(synth_task_source(tcfg))
         cfg = MamlConfig(alpha=0.2, inner_steps=2, adapt_iters=3)
@@ -769,7 +779,7 @@ class TestStackedAdaptation:
         both = meta_test_adapt(model, task, cfg, head=[model.head, other], redim_seed=4)
         separate = [
             meta_test_adapt(model, task, cfg, redim_seed=4),
-            meta_test_adapt(model, task, cfg, head=other),
+            *meta_test_adapt(model, task, cfg, head=[other]),
         ]
         assert both[0].redimensioned == (task_classes != 3)
         assert not both[1].redimensioned
@@ -806,17 +816,17 @@ def reference_paired_eval(model, tasks, cfg, baseline_seed):
     for task in tasks:
         meta = meta_test_adapt(model, task, cfg, redim_seed=_pair_seed(baseline_seed, task.task_id, 0))
         rng = np.random.default_rng(_pair_seed(baseline_seed, task.task_id, 1))
-        rand = meta_test_adapt(model, task, cfg, head=init_head(rng, model.hidden, task.n_classes))
+        (rand,) = meta_test_adapt(model, task, cfg, head=[init_head(rng, model.hidden, task.n_classes)])
         rows.append((meta.query_loss, rand.query_loss, meta.query_accuracy, rand.query_accuracy))
     return rows
 
 
 class TestPairedEval:
-    @pytest.mark.parametrize("class_range", [(3, 3), (2, 4)])
-    def test_equals_separate_arms(self, class_range):
-        tcfg = easy_task_config(seed=27, class_range=class_range)
+    @pytest.mark.parametrize("stroke_classes", [(3,), (2, 3, 4)], ids=["one-count", "mixed-counts"])
+    def test_equals_separate_arms(self, stroke_classes):
+        tcfg = easy_task_config(seed=27)
         model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(27))
-        tasks = take_tasks(synth_task_source(tcfg), 6)
+        tasks = chained_tasks(tcfg, stroke_classes, 6 // len(stroke_classes))
         cfg = MamlConfig(alpha=0.2, inner_steps=2, adapt_iters=3)
         got = paired_few_shot_eval(model, tasks, cfg, baseline_seed=3)
         rows = [(o.meta_loss, o.random_loss, o.meta_accuracy, o.random_accuracy) for o in got.outcomes]

@@ -15,7 +15,7 @@ from taalkit.simulate import (
     default_insertion_vocabulary,
     generate_performance,
 )
-from taalkit.talas import builtin_talas, get_tala
+from taalkit.talas import StrokeSequence, builtin_talas, get_tala
 
 
 class TestPerformanceSpec:
@@ -125,10 +125,9 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(p_sub=0.6, p_del=0.5)
 
-    def test_default_insertion_vocabulary_filled(self):
+    def test_defaults(self):
         spec = NoiseSpec()
-        assert spec.insertion_vocabulary == default_insertion_vocabulary()
-        assert (spec.p_sub, spec.p_del, spec.p_ins) == (0.0, 0.0, 0.0)
+        assert (spec.p_sub, spec.p_del, spec.p_ins, spec.seed) == (0.0, 0.0, 0.0, 0)
 
     def test_default_vocabulary_covers_all_thekas(self):
         vocab = set(default_insertion_vocabulary())
@@ -176,10 +175,12 @@ class TestCorrupt:
         assert all(a != b for a, b in zip(perf.names, out.names))
 
     def test_substitutions_stay_in_vocabulary(self):
-        vocab = ("Dha", "Tin")
-        perf = self._perf(cycles=5)
-        out = corrupt(perf, NoiseSpec(p_sub=1.0, insertion_vocabulary=vocab, seed=5))
-        assert set(out.names) <= set(vocab)
+        # Substitutes and insertions alike come from the built-in strokes,
+        # also in place of a stroke outside them.
+        perf = StrokeSequence(("Zzz", "Dha") * 30)
+        out = corrupt(perf, NoiseSpec(p_sub=1.0, p_ins=1.0, seed=5))
+        assert len(out) == 2 * len(perf)
+        assert set(out.names) <= set(default_insertion_vocabulary())
 
     def test_deletion_keeps_survivor_onsets(self):
         perf = self._perf()

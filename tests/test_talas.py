@@ -277,6 +277,16 @@ class TestDefinitionValidation:
         with pytest.raises(ValueError, match="must each be at least 1"):
             TalaDefinition(**self._base_kwargs(vibhags=vibhags))
 
+    @pytest.mark.parametrize(
+        "equivalents",
+        [{"Na": "Ta"}, {"Ge": "Dha"}],
+        ids=["variant-is-a-theka-stroke", "canonical-outside-theka"],
+    )
+    def test_malformed_gharana_map_rejected(self, equivalents):
+        # Mapping the theka's own Na to Ta would score a clean theka as noise.
+        with pytest.raises(ValueError, match="must lead from outside the theka into it"):
+            TalaDefinition("X", (4,), ("Na", "Ta", "Na", "Tin"), gharana_equivalents=equivalents)
+
     @pytest.mark.parametrize("bad", ["A B", ""])
     def test_invalid_theka_token_rejected(self, bad):
         with pytest.raises(ValueError, match="stroke name must be a non-empty token"):

@@ -53,15 +53,16 @@ class TestFewShotTask:
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         cfg = SyntheticTaskConfig()
-        assert cfg.class_range == (6, 6)
+        assert cfg.stroke_classes == 6
         assert cfg.support_size == 32
         assert cfg.query_size == 8
 
-    def test_class_range_must_fit_bank(self):
-        with pytest.raises(ValueError):
-            SyntheticTaskConfig(class_range=(5, 20), bank_size=12)
-        with pytest.raises(ValueError):
-            SyntheticTaskConfig(class_range=(0, 3))
+    def test_stroke_classes_must_fit_bank(self):
+        assert SyntheticTaskConfig(stroke_classes=12, bank_size=12).stroke_classes == 12
+        with pytest.raises(ValueError, match="must fit in bank of 12"):
+            SyntheticTaskConfig(stroke_classes=13, bank_size=12)
+        with pytest.raises(ValueError, match="must fit in bank"):
+            SyntheticTaskConfig(stroke_classes=0)
 
     def test_sizes_positive(self):
         with pytest.raises(ValueError):
@@ -113,13 +114,15 @@ class TestTaskStream:
         assert [t.task_id for t in tasks] == [0, 1, 2, 3]
 
     def test_class_count_range_respected(self):
-        cfg = SyntheticTaskConfig(class_range=(2, 5), seed=5, include_no_stroke=False)
-        counts = {t.n_classes for t in take_tasks(synth_task_source(cfg), 40)}
-        assert counts <= {2, 3, 4, 5}
-        assert len(counts) > 1  # the range is actually sampled
+        # Every task of a stream has the config's class count, over a range of counts.
+        for c in (1, 2, 5, 12):
+            cfg = SyntheticTaskConfig(stroke_classes=c, seed=5, include_no_stroke=False)
+            tasks = take_tasks(synth_task_source(cfg), 10)
+            assert {t.n_classes for t in tasks} == {c}
+            assert {int(y) for t in tasks for y in t.support_y} <= set(range(c))
 
     def test_no_stroke_toggle(self):
-        base = dict(class_range=(3, 3), seed=6)
+        base = dict(stroke_classes=3, seed=6)
         with_ns = next(synth_task_source(SyntheticTaskConfig(include_no_stroke=True, **base)))
         without = next(synth_task_source(SyntheticTaskConfig(include_no_stroke=False, **base)))
         assert with_ns.n_classes == 4
@@ -147,7 +150,7 @@ class TestTaskStream:
         # task are built from the same prototype, so per-class means agree
         # across tasks (up to amplitude mixing toward the No-stroke vector).
         cfg = SyntheticTaskConfig(
-            class_range=(3, 3), jitter_scale=0.0, noise_scale=0.0,
+            stroke_classes=3, jitter_scale=0.0, noise_scale=0.0,
             decay_rate=1e-9, include_no_stroke=False, seed=11,
         )
         t1, t2 = take_tasks(synth_task_source(cfg), 2)
@@ -164,7 +167,7 @@ class TestLinearSeparability:
         # sufficiently large gradient step on a linear model fits the
         # support set exactly.
         cfg = SyntheticTaskConfig(
-            class_range=(3, 3),
+            stroke_classes=3,
             noise_scale=0.0,
             jitter_scale=0.0,
             decay_rate=0.5,
