@@ -33,11 +33,9 @@ MATCH_SCORE = 1
 MISMATCH_SCORE = -1
 GAP_PENALTY = -2
 # DP cells (pairs x m x w) per batch_nw_scores chunk; bounds its working set
-# of three bytes a cell (the int16 gains and their boolean comparison).
+# of three bytes a cell (the int16 gains and their boolean comparison).  The
+# matcher passes one chunk of windows per call and keeps their best rotation.
 DP_CHUNK_CELLS = 1 << 19
-# Distinct windows per batch_nw_scores call in sliding_match_score, which
-# keeps only each window's best rotation before it scores the next chunk.
-WINDOW_CHUNK = 1024
 
 
 def nw_score(x_ref, y) -> int:
@@ -169,16 +167,8 @@ def sliding_match_score(
         raise ValueError("empty sequence")
     m = tala.matra_count
 
-    # Canonicalise each distinct token once.  Every stroke outside the theka
-    # mismatches every theka stroke, so they all share the one id after it.
-    ids = tala.theka_symbol_ids
-    token_ids = {
-        tok: ids.get(tala.canonical_stroke(tok) if gharana_equiv else tok, len(ids))
-        for tok in dict.fromkeys(names)
-    }
     rotations = tala.theka_rotations
-    dtype = rotations.dtype
-    seq_ids = np.fromiter(map(token_ids.__getitem__, names), dtype, len(names))
+    seq_ids = tala.token_ids(names, gharana_equiv)
 
     if len(names) < m:
         best = int(batch_nw_scores(rotations, seq_ids[None, :]).max())
@@ -192,11 +182,12 @@ def sliding_match_score(
         # A void view turns each window into one sortable key, which
         # np.unique handles far faster than its axis=0 mode.
         windows = np.lib.stride_tricks.sliding_window_view(seq_ids, m)[open_at]
-        keys = windows.view(np.dtype((np.void, m * dtype.itemsize))).ravel()
+        keys = windows.view(np.dtype((np.void, m * seq_ids.itemsize))).ravel()
         distinct, inverse = np.unique(keys, return_inverse=True)
-        distinct = distinct.view(dtype).reshape(-1, m)
-        peaks = [batch_nw_scores(rotations, distinct[i:i + WINDOW_CHUNK]).max(axis=0)
-                 for i in range(0, len(distinct), WINDOW_CHUNK)]
+        distinct = distinct.view(seq_ids.dtype).reshape(-1, m)
+        step = max(1, DP_CHUNK_CELLS // (rotations.size * m))
+        peaks = [batch_nw_scores(rotations, distinct[i:i + step]).max(axis=0)
+                 for i in range(0, len(distinct), step)]
         best[open_at] = np.concatenate(peaks)[inverse]
     block_maxima = np.maximum.reduceat(best, starts)
     return MatchResult(sigma_nw=float(np.mean(block_maxima)), block_maxima=tuple(block_maxima.tolist()))

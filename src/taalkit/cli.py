@@ -194,6 +194,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputError("--length-strokes must be at least 1")
     if args.repeats < 0:
         raise InputError("--repeats must be non-negative")
+    if args.warmup < 0:
+        raise InputError("--warmup must be non-negative")
     if args.repeats > MAX_ARRAY_VALUES:
         raise InputError(f"--repeats must not exceed {MAX_ARRAY_VALUES}")
     try:

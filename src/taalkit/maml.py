@@ -34,7 +34,7 @@ from .surrogate import (
     wce_loss,
     with_new_head_output,
 )
-from .tasks import FewShotTask, take_tasks
+from .tasks import FewShotTask, check_counts, take_tasks
 
 @dataclass(frozen=True)
 class MamlConfig:
@@ -59,10 +59,7 @@ class MamlConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < float("inf"):
                 raise ValueError(f"learning rates must be non-negative finite numbers, got {name}={value!r}")
-        for name in ("seed", "inner_steps", "epochs", "adapt_iters", "tasks_per_batch", "order"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        check_counts(self, ("seed", "inner_steps", "epochs", "adapt_iters", "tasks_per_batch", "order"))
         if self.tasks_per_batch < 1:
             raise ValueError("tasks_per_batch must be positive")
         if self.order not in (1, 2):
@@ -181,10 +178,7 @@ def meta_update(
 ) -> tuple[list[Tensor], float]:
     """One outer step; returns fresh leaf parameters and the batch loss."""
     grads, loss = meta_gradients(model, head, tasks, cfg)
-    new_head = [
-        Tensor(p.data - cfg.beta * g.data, requires_grad=True) for p, g in zip(head, grads)
-    ]
-    return new_head, loss
+    return [Tensor(p.data, requires_grad=True) for p in sgd_step(head, grads, cfg.beta)], loss
 
 
 @dataclass

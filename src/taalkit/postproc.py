@@ -20,7 +20,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .talas import NO_STROKE, StrokeLabel
+from .talas import NO_STROKE, StrokeLabel, check_stroke_tokens
 
 DEFAULT_HOP_SECONDS = 0.010
 DEFAULT_COLLAR_SECONDS = 0.050
@@ -126,8 +126,10 @@ class OnsetAnnotation:
         # ``<=`` also rejects NaN, which would break the sorted walk in onset_f1.
         if not all(a <= b for a, b in zip(times, times[1:])):
             raise ValueError("onset times must be non-decreasing")
-        if any(lab == NO_STROKE for _, lab in events):
+        labels = {lab for _, lab in events}
+        if NO_STROKE in labels:
             raise ValueError(f"{NO_STROKE} cannot appear as an onset event")
+        check_stroke_tokens(labels)
 
     def __len__(self) -> int:
         return len(self.events)

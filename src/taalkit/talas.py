@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections import Counter
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,8 +38,15 @@ class StrokeLabel:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"stroke id must be non-negative, got {self.id}")
-        if not self.name or any(ch.isspace() for ch in self.name):
-            raise ValueError(f"stroke name must be a non-empty token, got {self.name!r}")
+        check_stroke_tokens((self.name,))
+
+
+def check_stroke_tokens(names: Iterable[str]) -> None:
+    """Reject, once per distinct name, any name that is empty or holds
+    whitespace: a stroke file or onset CSV would not read it back."""
+    for name in dict.fromkeys(names):
+        if not name or any(ch.isspace() for ch in name):
+            raise ValueError(f"stroke name must be a non-empty token, got {name!r}")
 
 
 def make_vocabulary(names: Sequence[str], include_no_stroke: bool = False) -> tuple[StrokeLabel, ...]:
@@ -66,8 +72,7 @@ class StrokeSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        # Labelling each distinct name rejects any that is not one token.
-        make_vocabulary(dict.fromkeys(self.names))
+        check_stroke_tokens(self.names)
         if self.onset_times is not None:
             times = tuple(float(t) for t in self.onset_times)
             object.__setattr__(self, "onset_times", times)
@@ -112,8 +117,7 @@ class TalaDefinition:
             raise ValueError(f"{self.name}: vibhag lengths {self.vibhag_lengths} do not sum to {self.matra_count}")
         if NO_STROKE in self.theka_names:
             raise ValueError(f"{self.name}: {NO_STROKE} is reserved and cannot appear in a tala vocabulary")
-        # Building the vocabulary rejects a token that is not a valid stroke name.
-        self.stroke_vocabulary
+        check_stroke_tokens(self.theka_names)
         for variant, canonical in self.gharana_equivalents.items():
             if variant in self.theka_names or canonical not in self.theka_names:
                 raise ValueError(f"{self.name}: gharana map {variant} -> {canonical} must lead from outside the theka into it")
@@ -136,25 +140,23 @@ class TalaDefinition:
         return tuple(counts[s.name] for s in self.stroke_vocabulary)
 
     @cached_property
-    def theka_symbol_ids(self) -> Mapping[str, int]:
-        """Integer id of each distinct theka stroke: its vocabulary id."""
-        return MappingProxyType({s.name: s.id for s in self.stroke_vocabulary})
-
-    @cached_property
     def theka_rotations(self) -> np.ndarray:
-        """Read-only (m, m) symbol ids of every cyclic rotation of the theka.
-
-        Row ``r`` is the theka entered at beat ``r``.  The dtype also holds
-        the next id, which the matcher gives every stroke outside the theka.
-        Built on first use and kept on the instance, so each tala pays for
-        it once.
-        """
-        symbols = self.theka_symbol_ids
-        ids = np.array([symbols[n] for n in self.theka_names], np.min_scalar_type(len(symbols)))
+        """Read-only (m, m) token ids of every cyclic rotation of the theka;
+        row ``r`` enters it at beat ``r``.  Built once per tala."""
+        ids = self.token_ids(self.theka_names, gharana_equiv=False)
         m = self.matra_count
         rotations = ids[(np.arange(m)[:, None] + np.arange(m)) % m]
         rotations.setflags(write=False)
         return rotations
+
+    def token_ids(self, tokens: Sequence[str], gharana_equiv: bool = True) -> np.ndarray:
+        """Each token's vocabulary id, after the gharana map if ``gharana_equiv``;
+        every other token gets ``len(stroke_vocabulary)``, in the smallest
+        unsigned dtype that holds it.  Each distinct token is canonicalised once."""
+        vocab = {s.name: s.id for s in self.stroke_vocabulary}
+        table = {t: vocab.get(self.canonical_stroke(t) if gharana_equiv else t, len(vocab))
+                 for t in dict.fromkeys(tokens)}
+        return np.fromiter(map(table.__getitem__, tokens), np.min_scalar_type(len(vocab)), len(tokens))
 
     def canonical_stroke(self, name: str) -> str:
         """Map a variant stroke name to this tala's canonical name."""

@@ -18,6 +18,7 @@ that share a stroke vocabulary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,6 +28,14 @@ from .postproc import NO_STROKE_AMPLITUDE_FRACTION
 
 # Most float64 values a task's frames or a model's weights may ask for.
 MAX_ARRAY_VALUES = 10**7
+
+
+def check_counts(config, names: tuple[str, ...]) -> None:
+    """Reject a named field of ``config`` that is not a non-negative int; bools and floats are not."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +77,11 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_features < 1:
-            raise ValueError("n_features must be positive")
+        check_counts(self, ("n_features", "stroke_classes", "bank_size", "support_size", "query_size", "seed"))
+        if min(self.n_features, self.support_size, self.query_size) < 1:
+            raise ValueError("n_features, support_size and query_size must be positive")
         if not 1 <= self.stroke_classes <= self.bank_size:
             raise ValueError(f"stroke_classes {self.stroke_classes} must fit in bank of {self.bank_size}")
-        if self.support_size < 1 or self.query_size < 1:
-            raise ValueError("support and query sizes must be positive")
         if (self.support_size + self.query_size) * self.n_features > MAX_ARRAY_VALUES:
             raise ValueError(f"(support + query) x n_features frames exceed {MAX_ARRAY_VALUES} values")
         if self.noise_scale < 0 or self.jitter_scale < 0:

@@ -155,7 +155,7 @@ def reference_sliding_match_score(names, tala, gharana_equiv=True):
 
 def _symbol_ids(names, tala, gharana_equiv):
     """Theka rotations and input ids, theka strokes numbered first."""
-    ids = dict(tala.theka_symbol_ids)
+    ids = {s.name: s.id for s in tala.stroke_vocabulary}
     canon = [tala.canonical_stroke(n) if gharana_equiv else n for n in names]
     return tala.theka_rotations, np.array([ids.setdefault(n, len(ids)) for n in canon])
 
@@ -494,9 +494,10 @@ class TestWindowPruning:
         sliding_match_score(names, TINTAL)
         m = TINTAL.matra_count
         # The matcher gives every stroke outside the theka one shared id.
-        ids = TINTAL.theka_symbol_ids
+        ids = {s.name: s.id for s in TINTAL.stroke_vocabulary}
         seq_ids = np.array([ids.get(TINTAL.canonical_stroke(n), len(ids)) for n in names])
         assert len(ids) in seq_ids
+        assert TINTAL.token_ids(names).tolist() == seq_ids.tolist()
         lower, upper = _window_bounds(seq_ids, TINTAL)
         known = [lower[b:b + m].max() for b in range(0, len(lower), m)]
         open_at = [i for i in range(len(lower)) if upper[i] > known[i // m]]

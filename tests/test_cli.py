@@ -398,11 +398,14 @@ class TestExitCodes:
             pytest.param(["maml-demo", "--features", "1", "--support", "1", "--query", "1", "--hidden", "1",
                           "--alpha", "1.3732021482183925e308", "--inner-steps", "1", "--adapt-iters", "1",
                           "--epochs", "0", "--n-test-tasks", "1"], id="argv19"),
+            pytest.param(["bench", "--warmup", "-1"], id="bench-negative-warmup"),
         ],
     )
     def test_bad_value_is_exit_2_with_one_line(self, argv, tmp_path, capsys):
         if argv[0] == "eval":
             argv = argv + ["--trials", "1", "--out", str(tmp_path / "eval.csv")]
+        elif argv[0] == "bench":
+            argv = argv + ["--repeats", "1", "--length-strokes", "16", "--out", str(tmp_path / "bench.csv")]
         else:
             argv = argv + ["--out", str(tmp_path)]
         assert main(argv) == 2

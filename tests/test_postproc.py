@@ -391,6 +391,15 @@ class TestOnsetAnnotation:
         with pytest.raises(ValueError):
             OnsetAnnotation(((0.1, NO_STROKE),))
 
+    @pytest.mark.parametrize(
+        "label", ["Dha\nNa", "Dha ", " Dha", "Dha\tNa", ""],
+        ids=["newline", "trailing-space", "leading-space", "tab", "empty"],
+    )
+    def test_label_that_is_not_one_token_rejected(self, label):
+        # Written to CSV, such a label reads back changed or not at all.
+        with pytest.raises(ValueError, match="stroke name must be a non-empty token"):
+            OnsetAnnotation(((0.0, "Dha"), (0.5, label)))
+
 
 class TestOnsetF1:
     def test_within_collar_match(self):

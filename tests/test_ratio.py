@@ -149,7 +149,8 @@ class TestIdentifyRatio:
         counts, oov = stroke_histogram(tala.theka_names, tala.stroke_vocabulary)
         assert oov == 0
         assert tuple(counts.tolist()) == tala.reference_ratio
-        assert dict(tala.theka_symbol_ids) == {s.name: s.id for s in tala.stroke_vocabulary}
+        ids = {s.name: s.id for s in tala.stroke_vocabulary}
+        assert tala.theka_rotations[0].tolist() == [ids[n] for n in tala.theka_names]
         assert tuple(np.bincount(tala.theka_rotations[0]).tolist()) == tala.reference_ratio
         result = identify_tala_ratio(names, [tala], gharana_equiv=gharana_equiv)
         got = [(s.tala, s.score, s.normalized, s.coverage) for s in result.ranking]

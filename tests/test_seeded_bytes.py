@@ -1,14 +1,20 @@
 """Seeded outputs pinned to their bytes, so a change that moves any draw shows.
 
-Neither digest hashes a float that BLAS or ``exp`` rounding could move, so
-both hold across machines: the eval grid's scores are integer alignment
-scores and cosines of small integer counts, whose dot products are exact,
-and the task stream's labels are integers.
+No digest hashes a float that BLAS or ``exp`` rounding could move, so each
+holds across machines: the eval grid's scores are integer alignment scores
+and cosines of small integer counts, whose dot products are exact, the NW
+block maxima are integers and their means are exact, and the task stream's
+labels are integers.
 """
 
 import hashlib
+import json
+import math
 
+from taalkit.alignment import sliding_match_score
 from taalkit.cli import main
+from taalkit.simulate import NoiseSpec, PerformanceSpec, corrupt, generate_performance
+from taalkit.talas import builtin_talas
 from taalkit.tasks import SyntheticTaskConfig, synth_task_source, take_tasks
 
 
@@ -27,3 +33,26 @@ def test_task_stream_labels_are_pinned():
         h.update(task.query_y.tobytes())
         h.update(str(task.n_classes).encode())
     assert h.hexdigest() == "e1b7b8d6cb024450deec7b0a56d887fcce5bb21f88b2a78930fd21838dc74002"
+
+
+def test_nw_scores_at_identify_long_scale_are_pinned():
+    # 3,840 strokes of every built-in tala, clean and noisy, scored against
+    # every built-in tala with and without the gharana map: 64 rows.
+    rows = []
+    for source in builtin_talas():
+        m = source.matra_count
+        perf = generate_performance(
+            PerformanceSpec(source.name, cycles=math.ceil(7680 / m), start_offset=3 % m, gharana_variant=True)
+        )
+        noisy = corrupt(perf, NoiseSpec(p_sub=0.1, p_del=0.1, p_ins=0.05, seed=7))
+        for kind, seq in (("clean", perf), ("noisy", noisy)):
+            names = seq.names[:3840]
+            assert len(names) == 3840
+            for candidate in builtin_talas():
+                for gharana_equiv in (True, False):
+                    r = sliding_match_score(names, candidate, gharana_equiv=gharana_equiv)
+                    rows.append([source.name, kind, candidate.name, gharana_equiv, r.sigma_nw,
+                                 list(r.block_maxima), r.short_input])
+    assert len(rows) == 64
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "36e0262a64051b99f2b7d495b16129d1d462ded827ec0ba95e119b0bc990916a"

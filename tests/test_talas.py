@@ -111,6 +111,18 @@ class TestGharana:
     def test_unknown_strokes_pass_through(self):
         assert get_tala("Tintal").canonical_stroke("Zzz") == "Zzz"
 
+    def test_token_ids(self):
+        # Tintal numbers Dha Dhin Tin Na 0-3; Ta maps to Na, and every other
+        # token shares the next id.
+        tintal = get_tala("Tintal")
+        ids = tintal.token_ids(("Dha", "Ta", "Zzz", "Tin", "Ta", "Qqq"))
+        assert ids.dtype == np.uint8
+        assert ids.tolist() == [0, 3, 4, 2, 3, 4]
+        assert tintal.token_ids(("Dha", "Ta", "Na"), gharana_equiv=False).tolist() == [0, 4, 3]
+        assert tintal.token_ids(()).tolist() == []
+        entered_at_3 = tintal.theka_names[3:] + tintal.theka_names[:3]
+        assert tintal.theka_rotations[3].tolist() == tintal.token_ids(entered_at_3).tolist()
+
 
 class TestVocabulary:
     def test_make_vocabulary_ids_sequential(self):

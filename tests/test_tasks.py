@@ -64,6 +64,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="must fit in bank"):
             SyntheticTaskConfig(stroke_classes=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stroke_classes", 2.5), ("stroke_classes", 3.0), ("stroke_classes", True), ("support_size", 3.0),
+         ("query_size", 8.0), ("n_features", 20.0), ("bank_size", 12.0), ("seed", 7.0), ("seed", -1),
+         ("seed", "7"), ("seed", False)],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        # Each was accepted once, and the first task drawn then raised a numpy TypeError.
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+            SyntheticTaskConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SyntheticTaskConfig(stroke_classes=np.int64(3), support_size=np.uint8(4), seed=np.int32(7))
+        assert next(synth_task_source(cfg)).n_classes == 4
+
     def test_sizes_positive(self):
         with pytest.raises(ValueError):
             SyntheticTaskConfig(support_size=0)
