@@ -5,7 +5,8 @@ From frame labels to scored onsets
 A frame-level stroke classifier emits one label per 10 ms hop.  This walk
 shows the post-processing chain: median smoothing of single-frame blips,
 amplitude-based relabeling of decayed tails as No-stroke, onset
-extraction at label changes, and collar-based F1 against a reference.
+extraction at label changes, collar-based F1 against a reference, and
+tāla identification from the onsets.
 """
 
 import io
@@ -14,6 +15,9 @@ import math
 from taalkit import (
     FrameLabelSequence,
     OnsetAnnotation,
+    get_tala,
+    identify_tala_nw,
+    identify_tala_ratio,
     label_no_stroke,
     onset_f1,
     onsets_from_frames,
@@ -63,3 +67,19 @@ print()
 print(buf.getvalue().rstrip())
 assert read_onsets_csv(io.StringIO(buf.getvalue())).events == estimate.events
 print("CSV round trip ok")
+
+# The onsets are a transcribed stroke sequence, so both tāla identifiers
+# read them directly.  Four cycles of Rūpak at 240 bpm: 25 frames a stroke,
+# each decaying below 3% of its peak after 18 frames.
+rupak = get_tala("Rupak")
+strokes = list(rupak.theka_names) * 4
+rupak_vocab = make_vocabulary(dict.fromkeys(strokes), include_no_stroke=True)
+ids = {s.name: s.id for s in rupak_vocab}
+decay = [math.exp(-0.2 * k) for k in range(25)]
+rupak_frames = FrameLabelSequence([ids[n] for n in strokes for _ in decay], 0.010, rupak_vocab)
+onsets = onsets_from_frames(label_no_stroke(smooth_labels(rupak_frames), decay * len(strokes)))
+# One run of a label is one onset, so each Tin Tin yields a single onset.
+print()
+print(f"{len(strokes)} Rūpak strokes -> {len(onsets)} onsets")
+print("NW identifies:   ", identify_tala_nw(onsets).best.tala)
+print("ratio identifies:", identify_tala_ratio(onsets).best.tala)

@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# Tala x grid points of one eval run: the grid and its per-point tallies
+# then stay within tens of MB.
+MAX_EVAL_POINTS = 10**5
+
 EVAL_HEADER = "tala,p_sub,p_del,p_ins,method,accuracy,mean_score"
 BENCH_HEADER = "method,input_len,mean_us,p95_us"
 CURVE_HEADER = "epoch,mean_query_loss"
@@ -136,12 +140,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     p_subs = _parse_float_list(args.p_sub, "--p-sub")
     p_dels = _parse_float_list(args.p_del, "--p-del")
     p_inss = _parse_float_list(args.p_ins, "--p-ins")
-    grid = list(itertools.product(p_subs, p_dels, p_inss))
+    points = len(talas) * len(p_subs) * len(p_dels) * len(p_inss)
+    if points > MAX_EVAL_POINTS:
+        raise InputError(f"--talas x --p-sub x --p-del x --p-ins give {points} grid points, which exceed {MAX_EVAL_POINTS}")
     # Every spec is checked before the first performance is rendered; a trial's
     # offset and noise seed are always valid, so offset 0 and seed 0 stand in.
     try:
         for name in talas:
             PerformanceSpec(tala=name, cycles=args.cycles)
+        grid = list(itertools.product(p_subs, p_dels, p_inss))
         for p_sub, p_del, p_ins in grid:
             NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins)
     except ValueError as e:

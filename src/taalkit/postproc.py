@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Collection, Sequence, TextIO
 
 import numpy as np
 
@@ -126,13 +126,17 @@ class OnsetAnnotation:
         # ``<=`` also rejects NaN, which would break the sorted walk in onset_f1.
         if not all(a <= b for a, b in zip(times, times[1:])):
             raise ValueError("onset times must be non-decreasing")
-        labels = {lab for _, lab in events}
-        if NO_STROKE in labels:
-            raise ValueError(f"{NO_STROKE} cannot appear as an onset event")
-        check_stroke_tokens(labels)
+        _check_onset_labels({lab for _, lab in events})
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+def _check_onset_labels(labels: Collection[str]) -> None:
+    """Reject No-stroke and any label that is not one stroke token."""
+    if NO_STROKE in labels:
+        raise ValueError(f"{NO_STROKE} cannot appear as an onset event")
+    check_stroke_tokens(labels)
 
 
 def _run_starts(labels: np.ndarray) -> np.ndarray:
@@ -318,14 +322,16 @@ def write_onsets_csv(annotation: OnsetAnnotation, dest: str | TextIO) -> None:
 def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
     """Read ``time_sec,label`` rows; blank lines are skipped.
 
-    A malformed row (no comma, or a time that is not a finite number) raises
-    ``ValueError`` naming its 1-based line number.
+    A malformed row (no comma, a time that is not a finite number, or a
+    label that is No-stroke or not one stroke token) raises ``ValueError``
+    naming its 1-based line number.
     """
     with open(src, "r", encoding="utf-8") if isinstance(src, str) else nullcontext(src) as fh:
         header = fh.readline().strip()
         if header != ONSET_CSV_HEADER:
             raise ValueError(f"expected header {ONSET_CSV_HEADER!r}, got {header!r}")
         events = []
+        checked: set[str] = set()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -339,5 +345,11 @@ def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
                 raise ValueError(f"line {lineno}: time {t!r} is not a number") from None
             if not math.isfinite(time):
                 raise ValueError(f"line {lineno}: time {t!r} is not finite")
+            if lab not in checked:
+                try:
+                    _check_onset_labels((lab,))
+                except ValueError as e:
+                    raise ValueError(f"line {lineno}: {e}") from None
+                checked.add(lab)
             events.append((time, lab))
     return OnsetAnnotation(tuple(events))

@@ -53,8 +53,9 @@ def identify_tala_ratio(
     on a handful of accidental matches.  The raw cosine is reported
     alongside.
 
-    The input is counted once; each tala then maps only its distinct tokens,
-    so the per-tala work does not grow with the number of strokes.
+    The input is counted once; each tala then numbers only its distinct
+    tokens, by ``TalaDefinition.token_ids`` as the NW matcher does, so the
+    per-tala work does not grow with the number of strokes.
     """
     talas = builtin_talas() if talas is None else list(talas)
     if not talas:
@@ -65,12 +66,7 @@ def identify_tala_ratio(
     tally = Counter(names)
     scores = []
     for t in talas:
-        mapped = tally
-        if gharana_equiv:
-            mapped = Counter()
-            for n, k in tally.items():
-                mapped[t.canonical_stroke(n)] += k
-        counts, oov = stroke_histogram(mapped, t.stroke_vocabulary)
+        counts, oov = stroke_histogram(tally, t, gharana_equiv)
         coverage = (len(names) - oov) / len(names)
         cos = cosine_similarity(np.asarray(t.reference_ratio), counts)
         scores.append(TalaScore(tala=t.name, score=cos, normalized=cos * coverage, coverage=coverage))

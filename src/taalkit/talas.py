@@ -136,8 +136,7 @@ class TalaDefinition:
     @cached_property
     def reference_ratio(self) -> tuple[int, ...]:
         """Each vocabulary stroke's count in one theka cycle."""
-        counts = Counter(self.theka_names)
-        return tuple(counts[s.name] for s in self.stroke_vocabulary)
+        return tuple(np.bincount(self.theka_rotations[0]).tolist())
 
     @cached_property
     def theka_rotations(self) -> np.ndarray:
@@ -149,11 +148,15 @@ class TalaDefinition:
         rotations.setflags(write=False)
         return rotations
 
+    @cached_property
+    def _stroke_ids(self) -> dict[str, int]:
+        return {s.name: s.id for s in self.stroke_vocabulary}
+
     def token_ids(self, tokens: Sequence[str], gharana_equiv: bool = True) -> np.ndarray:
         """Each token's vocabulary id, after the gharana map if ``gharana_equiv``;
         every other token gets ``len(stroke_vocabulary)``, in the smallest
         unsigned dtype that holds it.  Each distinct token is canonicalised once."""
-        vocab = {s.name: s.id for s in self.stroke_vocabulary}
+        vocab = self._stroke_ids
         table = {t: vocab.get(self.canonical_stroke(t) if gharana_equiv else t, len(vocab))
                  for t in dict.fromkeys(tokens)}
         return np.fromiter(map(table.__getitem__, tokens), np.min_scalar_type(len(vocab)), len(tokens))
@@ -226,10 +229,14 @@ def get_tala(name: str) -> TalaDefinition:
 
 
 def stroke_names(seq: StrokeSequence | Sequence[str | StrokeLabel]) -> tuple[str, ...]:
-    """Stroke names of a sequence of names, of ``StrokeLabel``s, or of a
-    ``StrokeSequence``, as one tuple."""
+    """Stroke names of a sequence of names, of ``StrokeLabel``s, of a
+    ``StrokeSequence``, or the labels of a ``postproc.OnsetAnnotation`` in
+    event order, as one tuple."""
     if isinstance(seq, StrokeSequence):
         return seq.names
+    # An OnsetAnnotation, told by its attribute: postproc imports this module.
+    if hasattr(seq, "events"):
+        return tuple(lab for _, lab in seq.events)
     seq = tuple(seq)
     # All-str input, the common case, is checked with one C-level pass.
     if set(map(type, seq)) <= {str}:
@@ -239,23 +246,15 @@ def stroke_names(seq: StrokeSequence | Sequence[str | StrokeLabel]) -> tuple[str
 
 def stroke_histogram(
     seq: StrokeSequence | Sequence[str | StrokeLabel] | Counter,
-    vocab: Sequence[StrokeLabel],
+    tala: TalaDefinition,
+    gharana_equiv: bool = True,
 ) -> tuple[np.ndarray, int]:
-    """Count strokes of ``seq`` over an ordered vocabulary.
-
-    ``seq`` may also be a ``Counter`` of stroke names, already counted.
-    Returns ``(counts, oov)`` where ``counts[i]`` is the number of
-    occurrences of ``vocab[i]`` and ``oov`` tallies strokes outside the
-    vocabulary.
-    """
+    """Count the strokes of ``seq``, or of a ``Counter`` of names, in each slot
+    of ``tala``'s vocabulary, numbering each distinct name by ``tala.token_ids``.
+    Returns ``(counts, oov)``: ``counts[i]`` strokes have vocabulary id ``i``
+    and ``oov`` strokes lie outside the vocabulary."""
     tally = seq if isinstance(seq, Counter) else Counter(stroke_names(seq))
-    index = {s.name: i for i, s in enumerate(vocab)}
-    counts = np.zeros(len(vocab), dtype=np.int64)
-    oov = 0
-    for n, k in tally.items():
-        i = index.get(n)
-        if i is None:
-            oov += k
-        else:
-            counts[i] += k
-    return counts, oov
+    v = len(tala.stroke_vocabulary)
+    # The weighted bincount sums in float64, exact for counts below 2**53.
+    counts = np.bincount(tala.token_ids(list(tally), gharana_equiv), list(tally.values()), v + 1).astype(np.int64)
+    return counts[:v], int(counts[v])

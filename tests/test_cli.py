@@ -2,6 +2,7 @@
 peak-memory check, which needs a process of its own)."""
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -420,9 +421,11 @@ class TestExitCodes:
          ["eval", "--talas", "Rupak,Tintal", "--cycles", "100000", "--trials", "1"],
          ["bench", "--repeats", str(10**12), "--length-strokes", "1"],
          DEMO_ARGS + ["--n-test-tasks", str(10**12)],
-         DEMO_ARGS + ["--tasks-per-batch", str(10**12)]],
+         DEMO_ARGS + ["--tasks-per-batch", str(10**12)],
+         # Three 1,000-value lists would ask for 10^9 grid points.
+         ["eval", "--trials", "1"] + [a for f in ("--p-sub", "--p-del", "--p-ins") for a in (f, ",".join(["0"] * 1000))]],
         ids=["eval", "bench", "eval-second-tala", "bench-repeats", "maml-demo-test-tasks",
-             "maml-demo-tasks-per-batch"],
+             "maml-demo-tasks-per-batch", "eval-grid"],
     )
     def test_over_long_performance_is_exit_2(self, argv, tmp_path, capsys, monkeypatch):
         # Rejected before any stroke is rendered or task drawn, so no probe
@@ -434,6 +437,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_module, "generate_performance", never)
         monkeypatch.setattr(cli_module, "synth_task_source", never)
+        monkeypatch.setattr(itertools, "product", never)
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "exceed" in err

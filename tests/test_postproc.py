@@ -26,7 +26,9 @@ from taalkit.postproc import (
     within_collar,
     write_onsets_csv,
 )
-from taalkit.talas import NO_STROKE, StrokeLabel, make_vocabulary
+from taalkit.alignment import identify_tala_nw
+from taalkit.ratio import identify_tala_ratio
+from taalkit.talas import NO_STROKE, StrokeLabel, builtin_talas, make_vocabulary
 
 VOCAB_AB = make_vocabulary(["A", "B"], include_no_stroke=True)
 NS = 2  # id of No-stroke in VOCAB_AB
@@ -559,7 +561,9 @@ class TestCsvInterchange:
         "row, reason",
         [("0.5 Dha", "expected time_sec,label"), ("0.5", "expected time_sec,label"),
          ("inf,Dha", "not finite"), ("-inf,Dha", "not finite"), ("nan,Dha", "not finite"),
-         ("1e400,Dha", "not finite"), ("half,Dha", "not a number")],
+         ("1e400,Dha", "not finite"), ("half,Dha", "not a number"),
+         ("0.5,Dha Na", "non-empty token"), ("0.5,", "non-empty token"),
+         ("0.5,No-stroke", "cannot appear as an onset event")],
     )
     def test_malformed_row_names_its_line(self, row, reason):
         text = f"{ONSET_CSV_HEADER}\n0.1,Na\n\n{row}\n"
@@ -596,3 +600,60 @@ class TestCsvInterchange:
         again = io.StringIO()
         write_onsets_csv(back, again)
         assert again.getvalue() == once.getvalue()
+
+
+# --- Frames to tala ------------------------------------------------------------
+
+CHAIN_STROKES = sorted({n for t in builtin_talas() for n in t.theka_names})
+CHAIN_VOCAB = make_vocabulary(CHAIN_STROKES, include_no_stroke=True)
+FRAMES_PER_STROKE = 25  # 240 bpm at a 10 ms hop
+CHAIN_CYCLES = 4
+
+
+def render_frames(tala, flip_share, rng):
+    """Frame labels and envelope of ``CHAIN_CYCLES`` cycles of ``tala``.
+
+    Each stroke holds its label for one beat under an envelope that decays
+    at a random rate; then ``flip_share`` of the frames take a random stroke.
+    """
+    strokes = list(tala.theka_names) * CHAIN_CYCLES
+    ids = np.repeat([CHAIN_STROKES.index(n) for n in strokes], FRAMES_PER_STROKE)
+    k = np.arange(FRAMES_PER_STROKE)
+    decay = rng.uniform(6.0, 40.0, len(strokes))
+    envelope = np.concatenate([np.exp(-d * DEFAULT_HOP_SECONDS * k) for d in decay])
+    flipped = rng.random(len(ids)) < flip_share
+    ids[flipped] = rng.integers(0, len(CHAIN_STROKES), int(flipped.sum()))
+    return strokes, frames(ids, vocab=CHAIN_VOCAB), envelope
+
+
+def transcribe(tala, flip_share):
+    rng = np.random.default_rng([7, tala.matra_count])
+    strokes, f, envelope = render_frames(tala, flip_share, rng)
+    return strokes, onsets_from_frames(label_no_stroke(smooth_labels(f), envelope))
+
+
+class TestFramesToTala:
+    """Smoothing, the 3% rule and onset extraction feed both identifiers."""
+
+    @pytest.mark.parametrize("flip_share", [0.0, 0.02])
+    @pytest.mark.parametrize("tala", builtin_talas(), ids=lambda t: t.name)
+    def test_true_tala_ranks_first(self, tala, flip_share):
+        _, onsets = transcribe(tala, flip_share)
+        assert identify_tala_nw(onsets).best.tala == tala.name
+        assert identify_tala_ratio(onsets).best.tala == tala.name
+
+    def test_onsets_per_stroke(self):
+        # A run of one label is one segment, so a repeated stroke (Dhin Dhin)
+        # yields one onset: on clean frames there is one onset per run of
+        # equal strokes, 133 for 180 strokes.  Surviving flips add onsets.
+        counts = {}
+        for flip_share in (0.0, 0.02):
+            onsets = strokes = 0
+            for tala in builtin_talas():
+                names, annotation = transcribe(tala, flip_share)
+                if flip_share == 0.0:
+                    runs = 1 + sum(a != b for a, b in zip(names, names[1:]))
+                    assert len(annotation) == runs
+                onsets, strokes = onsets + len(annotation), strokes + len(names)
+            counts[flip_share] = (onsets, strokes)
+        assert counts == {0.0: (133, 180), 0.02: (144, 180)}

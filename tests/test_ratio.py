@@ -82,7 +82,7 @@ class TestIdentifyRatio:
     def test_jhaptal_two_cycle_histogram(self):
         jhaptal = get_tala("Jhaptal")
         perf = generate_performance(PerformanceSpec(tala="Jhaptal", cycles=2))
-        counts, oov = stroke_histogram(perf.names, jhaptal.stroke_vocabulary)
+        counts, oov = stroke_histogram(perf.names, jhaptal)
         assert counts.tolist() == [10, 8, 2]
         assert oov == 0
         assert cosine_similarity(jhaptal.reference_ratio, counts) == pytest.approx(1.0)
@@ -98,7 +98,7 @@ class TestIdentifyRatio:
         assert jh.coverage == pytest.approx(10 / 14)
         counts, _ = stroke_histogram(
             [get_tala("Jhaptal").canonical_stroke(n) for n in perf.names],
-            get_tala("Jhaptal").stroke_vocabulary,
+            get_tala("Jhaptal"),
         )
         expected_cos = cosine_similarity(get_tala("Jhaptal").reference_ratio, counts)
         assert jh.score == pytest.approx(expected_cos)
@@ -146,7 +146,7 @@ class TestIdentifyRatio:
             theka_names=tuple(theka),
             gharana_equivalents={"Zzz": theka[0]},
         )
-        counts, oov = stroke_histogram(tala.theka_names, tala.stroke_vocabulary)
+        counts, oov = stroke_histogram(tala.theka_names, tala)
         assert oov == 0
         assert tuple(counts.tolist()) == tala.reference_ratio
         ids = {s.name: s.id for s in tala.stroke_vocabulary}

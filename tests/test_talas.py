@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from taalkit.postproc import OnsetAnnotation
 from taalkit.talas import (
     NO_STROKE,
     StrokeLabel,
@@ -54,7 +55,7 @@ class TestCatalogue:
         # The reference ratio must be exactly the per-class counts of one
         # theka cycle, in vocabulary order.
         tala = get_tala(name)
-        counts, oov = stroke_histogram(tala.theka_names, tala.stroke_vocabulary)
+        counts, oov = stroke_histogram(tala.theka_names, tala)
         assert oov == 0
         assert counts.tolist() == list(tala.reference_ratio)
 
@@ -188,13 +189,13 @@ class TestStrokeSequence:
 class TestHistogram:
     def test_one_tintal_cycle_against_own_vocabulary(self):
         tintal = get_tala("Tintal")
-        counts, oov = stroke_histogram(tintal.theka_names, tintal.stroke_vocabulary)
+        counts, oov = stroke_histogram(tintal.theka_names, tintal)
         assert counts.tolist() == [6, 6, 2, 2]
         assert oov == 0
 
     def test_two_jhaptal_cycles(self):
         jhaptal = get_tala("Jhaptal")
-        counts, oov = stroke_histogram(jhaptal.theka_names * 2, jhaptal.stroke_vocabulary)
+        counts, oov = stroke_histogram(jhaptal.theka_names * 2, jhaptal)
         assert counts.tolist() == [10, 8, 2]
         assert oov == 0
 
@@ -203,22 +204,22 @@ class TestHistogram:
         # is a distinct stroke class from Jhaptal's Ti, so it counts as
         # out-of-vocabulary along with Dha and Dhin.
         counts, oov = stroke_histogram(
-            get_tala("Tintal").theka_names, get_tala("Jhaptal").stroke_vocabulary
+            get_tala("Tintal").theka_names, get_tala("Jhaptal")
         )
         assert counts.tolist() == [0, 2, 0]
         assert oov == 14
 
     def test_empty_input(self):
-        counts, oov = stroke_histogram([], get_tala("Rupak").stroke_vocabulary)
+        counts, oov = stroke_histogram([], get_tala("Rupak"))
         assert counts.tolist() == [0, 0, 0]
         assert oov == 0
 
     def test_counts_dtype_and_purity(self):
         tintal = get_tala("Tintal")
-        a, _ = stroke_histogram(tintal.theka_names, tintal.stroke_vocabulary)
+        a, _ = stroke_histogram(tintal.theka_names, tintal)
         assert a.dtype == np.int64
         a[0] = 999  # mutating the returned array must not affect later calls
-        b, _ = stroke_histogram(tintal.theka_names, tintal.stroke_vocabulary)
+        b, _ = stroke_histogram(tintal.theka_names, tintal)
         assert b.tolist() == [6, 6, 2, 2]
 
 
@@ -227,9 +228,8 @@ class TestHistogram:
         st.sampled_from(sorted(EXPECTED)),
     )
     def test_counter_input_equals_sequence_input(self, names, tala):
-        vocab = get_tala(tala).stroke_vocabulary
-        a, oov_a = stroke_histogram(Counter(names), vocab)
-        b, oov_b = stroke_histogram(names, vocab)
+        a, oov_a = stroke_histogram(Counter(names), get_tala(tala))
+        b, oov_b = stroke_histogram(names, get_tala(tala))
         assert a.tolist() == b.tolist()
         assert oov_a == oov_b
 
@@ -237,7 +237,7 @@ class TestHistogram:
         tintal = get_tala("Tintal")
         vocab = {s.name: s for s in tintal.stroke_vocabulary}
         labels = [vocab[n] for n in tintal.theka_names]
-        counts, oov = stroke_histogram(labels, tintal.stroke_vocabulary)
+        counts, oov = stroke_histogram(labels, tintal)
         assert counts.tolist() == [6, 6, 2, 2]
         assert oov == 0
 
@@ -255,6 +255,10 @@ class TestStrokeNames:
         assert stroke_names([vocab[n] for n in want]) == want
         assert stroke_names(seq) == want
         assert stroke_names(iter(want)) == want
+
+    def test_onset_annotation_labels_in_event_order(self):
+        onsets = OnsetAnnotation(((0.0, "Dha"), (0.25, "Na"), (0.25, "Tin"), (0.5, "Dha")))
+        assert stroke_names(onsets) == ("Dha", "Na", "Tin", "Dha")
 
     def test_mixed_names_and_labels(self):
         assert stroke_names(["Dha", StrokeLabel(0, "Na")]) == ("Dha", "Na")
