@@ -67,8 +67,6 @@ from .surrogate import (
     class_weights_from_labels,
     head_logits,
     init_head,
-    load_model,
-    save_model,
     sgd_step,
     wce_loss,
 )

@@ -27,7 +27,7 @@ from .alignment import identify_tala_nw
 from .maml import CONFIG_FIELDS, DivergenceError, MamlConfig, meta_test_adapt, meta_train, paired_few_shot_eval
 from .ratio import identify_tala_ratio
 from .seqio import out_of_vocabulary, read_stroke_tokens
-from .simulate import NoiseSpec, PerformanceSpec, corrupt, generate_performance
+from .simulate import MAX_PERFORMANCE_STROKES, NoiseSpec, PerformanceSpec, corrupt, generate_performance
 from .surrogate import SurrogateModel
 from .talas import builtin_talas, get_tala
 from .tasks import MAX_ARRAY_VALUES, SyntheticTaskConfig, synth_task_source, take_tasks
@@ -80,6 +80,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
         raise InputError(str(e)) from e
     if not tokens:
         raise InputError("empty sequence")
+    if len(tokens) > MAX_PERFORMANCE_STROKES:
+        raise InputError(f"{len(tokens)} tokens exceed {MAX_PERFORMANCE_STROKES}")
     oov = out_of_vocabulary(tokens)
     if oov:
         print(f"warning: {len(oov)} out-of-vocabulary token(s): {', '.join(oov)}", file=sys.stderr)
@@ -234,7 +236,7 @@ def _load_maml_config(args: argparse.Namespace) -> MamlConfig:
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, RecursionError) as e:  # also bad UTF-8, deep nesting, 4,300+ digits
             raise InputError(f"--config: {e}") from e
         if not isinstance(raw, dict):
             raise InputError("--config: expected a JSON object of config fields")
@@ -271,6 +273,13 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
     tasks = max(args.n_test_tasks, cfg.tasks_per_batch)
     if tasks * (args.support + args.query) * max(args.features, args.hidden) > MAX_ARRAY_VALUES:
         raise InputError(f"max(--n-test-tasks, tasks_per_batch) x (--support + --query) x max(--features, --hidden) exceeds {MAX_ARRAY_VALUES} values")
+    # Order 2 holds every inner step's graph over a meta-batch; test-time
+    # adaptation traces every step of both arms of a paired task.
+    frames = (args.support + args.query) * args.hidden
+    if cfg.inner_steps * cfg.tasks_per_batch * frames > MAX_ARRAY_VALUES:
+        raise InputError(f"inner_steps x tasks_per_batch x (--support + --query) x --hidden exceeds {MAX_ARRAY_VALUES} values")
+    if (cfg.adapt_iters * cfg.inner_steps + 1) * 2 * frames > MAX_ARRAY_VALUES:
+        raise InputError(f"(adapt_iters x inner_steps + 1) x 2 x (--support + --query) x --hidden exceeds {MAX_ARRAY_VALUES} values")
 
     n_classes = task_cfg.task_classes(task_cfg.stroke_classes)
     model = SurrogateModel.create(

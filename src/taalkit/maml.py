@@ -15,6 +15,7 @@ meta-training cannot touch it by construction.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
@@ -57,7 +58,9 @@ class MamlConfig:
     def __post_init__(self):
         for name in ("alpha", "beta"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < float("inf"):
+            # At most the largest float, so that an integer too large for one
+            # is rejected here rather than overflow in `sgd_step`.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"learning rates must be non-negative finite numbers, got {name}={value!r}")
         check_counts(self, ("seed", "inner_steps", "epochs", "adapt_iters", "tasks_per_batch", "order"))
         if self.tasks_per_batch < 1:

@@ -16,8 +16,6 @@ ones.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,8 +23,6 @@ import numpy as np
 
 from .autodiff import Tensor, ensure_tensor
 
-MODEL_FORMAT = "taalkit-surrogate"
-MODEL_VERSION = 1
 PROB_FLOOR = 1e-12
 
 
@@ -236,70 +232,5 @@ class SurrogateModel:
         return cls(feature_map=fmap, head=init_head(rng, hidden, n_classes))
 
     @property
-    def n_classes(self) -> int:
-        return head_n_classes(self.head)
-
-    @property
     def hidden(self) -> int:
         return self.feature_map.hidden
-
-    @property
-    def n_features(self) -> int:
-        return self.feature_map.n_features
-
-
-# --- serialization ----------------------------------------------------------
-
-_ARRAY_NAMES = ("feat_weight", "feat_bias", "w1", "b1", "w2", "b2")
-
-
-def save_model(path: str, model: SurrogateModel) -> None:
-    """Write a model as a JSON header line followed by little-endian float64."""
-    arrays = [model.feature_map.weight, model.feature_map.bias] + [p.data for p in model.head]
-    header = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "n_features": model.n_features,
-        "hidden": model.hidden,
-        "n_classes": model.n_classes,
-        "arrays": [
-            {"name": name, "shape": list(a.shape)} for name, a in zip(_ARRAY_NAMES, arrays)
-        ],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_model(path: str) -> SurrogateModel:
-    """Read a `save_model` file; any malformed or inconsistent file raises
-    ``ValueError``: a wrong format or version, missing keys, other array
-    names or shapes than the dimensions imply, and missing or trailing bytes."""
-    with open(path, "rb") as fh:
-        line, _, body = fh.read().partition(b"\n")
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # bad UTF-8, bad or too deeply nested JSON
-        raise ValueError(f"not a {MODEL_FORMAT} file: {path}: {e}") from None
-    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-    if header.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {header.get('version')!r}: {path}")
-    dims = [header.get(key) for key in ("n_features", "hidden", "n_classes")]
-    if not all(type(d) is int and d >= 1 for d in dims):
-        raise ValueError(f"n_features, hidden and n_classes must be positive integers: {path}")
-    f, h, c = dims
-    shapes = [(f, h), (h,), (h, h), (h,), (h, c), (c,)]
-    expected = [{"name": n, "shape": list(s)} for n, s in zip(_ARRAY_NAMES, shapes)]
-    if header.get("arrays") != expected:
-        raise ValueError(f"arrays must be {expected}: {path}")
-    sizes = [math.prod(s) for s in shapes]
-    if len(body) != 8 * sum(sizes):
-        raise ValueError(f"model file holds {len(body)} data bytes, expected {8 * sum(sizes)}: {path}")
-    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    fmap = FrozenFeatureMap(weight=arrays[0], bias=arrays[1])
-    head = [Tensor(a, requires_grad=True) for a in arrays[2:]]
-    return SurrogateModel(feature_map=fmap, head=head)

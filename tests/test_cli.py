@@ -25,7 +25,7 @@ from taalkit.cli import (
     main,
 )
 from taalkit.seqio import write_stroke_tokens
-from taalkit.simulate import NoiseSpec, PerformanceSpec, corrupt, generate_performance
+from taalkit.simulate import MAX_PERFORMANCE_STROKES, NoiseSpec, PerformanceSpec, corrupt, generate_performance
 from taalkit.talas import TOKEN_ALIASES
 
 
@@ -307,6 +307,18 @@ class TestMamlDemo:
         assert main(["maml-demo", "--config", str(cfg_path)]) == 2
         assert "unknown fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b"[" * 3000 + b"]" * 3000, b'{"alpha": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long-to-parse"],
+    )
+    def test_unparsable_config_file_rejected(self, data, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(data)
+        assert main(["maml-demo", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config: ") and err.count("\n") == 1
+
     def test_invalid_value_rejected(self, tmp_path, capsys):
         assert main(DEMO_ARGS + ["--out", str(tmp_path), "--alpha", "-1"]) == 2
         assert "invalid config" in capsys.readouterr().err
@@ -367,6 +379,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_over_long_stroke_file_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Rejected after reading, before the vocabulary check or any scoring.
+        import taalkit.cli as cli_module
+
+        def never(*args, **kwargs):
+            pytest.fail("scored before the length was checked")
+
+        for method in cli_module._IDENTIFIERS:
+            monkeypatch.setitem(cli_module._IDENTIFIERS, method, never)
+        monkeypatch.setattr(cli_module, "out_of_vocabulary", never)
+        path = tmp_path / "long.txt"
+        path.write_text("Dha " * (MAX_PERFORMANCE_STROKES + 1), encoding="utf-8")
+        assert main(["identify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "exceed" in err
+
     # Each input names its own id, so deleting one input never renames
     # another's case; a new input takes a descriptive id.
     @pytest.mark.parametrize(
@@ -423,9 +451,11 @@ class TestExitCodes:
          DEMO_ARGS + ["--n-test-tasks", str(10**12)],
          DEMO_ARGS + ["--tasks-per-batch", str(10**12)],
          # Three 1,000-value lists would ask for 10^9 grid points.
-         ["eval", "--trials", "1"] + [a for f in ("--p-sub", "--p-del", "--p-ins") for a in (f, ",".join(["0"] * 1000))]],
+         ["eval", "--trials", "1"] + [a for f in ("--p-sub", "--p-del", "--p-ins") for a in (f, ",".join(["0"] * 1000))],
+         DEMO_ARGS + ["--inner-steps", str(10**9)],
+         DEMO_ARGS + ["--adapt-iters", str(10**9)]],
         ids=["eval", "bench", "eval-second-tala", "bench-repeats", "maml-demo-test-tasks",
-             "maml-demo-tasks-per-batch", "eval-grid"],
+             "maml-demo-tasks-per-batch", "eval-grid", "maml-demo-inner-steps", "maml-demo-adapt-iters"],
     )
     def test_over_long_performance_is_exit_2(self, argv, tmp_path, capsys, monkeypatch):
         # Rejected before any stroke is rendered or task drawn, so no probe
@@ -505,7 +535,9 @@ _probabilities = _mostly(
 ).map(lambda v: ",".join(map(repr, v)))
 _config_value = _mostly(
     st.floats(0.0, 1.0) | st.sampled_from([1, 2]),
-    st.one_of(st.integers(-2, 3), _any_float, st.booleans(), st.none(), st.text(max_size=3)),
+    # Integers of 300-400 digits compare below infinity but overflow a float.
+    st.one_of(st.integers(-2, 3), st.integers(10**299, 10**400), _any_float, st.booleans(), st.none(),
+              st.text(max_size=3)),
 )
 _stroke_names = st.sampled_from(["Dha", "Dhin", "Na", "Tin", "Ta", "Tit", "Ge", "Ke", "Zzz",
                                  *TOKEN_ALIASES])

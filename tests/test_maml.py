@@ -98,6 +98,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=field if field == "seed" else "learning rates"):
             MamlConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_rejects_rates_with_no_finite_float_value(self, field):
+        with pytest.raises(ValueError, match="learning rates"):
+            MamlConfig(**{field: 10**400})
+        # A large integer that a float holds is kept as given.
+        assert getattr(MamlConfig(**{field: 10**300}), field) == 10**300
+
     @pytest.mark.parametrize(
         "field, value",
         [("inner_steps", 2.5), ("epochs", 1.5), ("adapt_iters", 1.0), ("tasks_per_batch", 4.0),

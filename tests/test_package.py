@@ -6,7 +6,10 @@ from pathlib import Path
 
 import taalkit
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Acceptance criterion 2 checks these against its brute-force oracle.
+CALLED_ONLY_BY_TESTS = {"nw_score", "lcs_baseline_score"}
 
 
 def test_every_exported_name_resolves():
@@ -35,3 +38,16 @@ def test_every_name_the_demos_import_is_exported():
     }
     assert imported
     assert sorted(imported - set(taalkit.__all__)) == []
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    sources = [p for p in sorted((ROOT / "src" / "taalkit").glob("*.py")) if p.name != "__init__.py"]
+    sources += DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(taalkit.__all__) - used - CALLED_ONLY_BY_TESTS) == []

@@ -1,7 +1,5 @@
 """Tests for the surrogate classifier, weighted loss, and SGD helpers."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +16,6 @@ from taalkit.surrogate import (
     head_logits,
     head_n_classes,
     init_head,
-    load_model,
-    save_model,
     sgd_step,
     stack_heads,
     tile_head,
@@ -417,144 +413,3 @@ class TestSurrogateModel:
         assert np.array_equal(a.head[2].data, b.head[2].data)
         x = np.zeros((2, 6))
         assert np.array_equal(model_logits(a, x).data, model_logits(b, x).data)
-
-    def test_save_load_round_trip(self, tmp_path):
-        model = SurrogateModel.create(6, 8, 3, np.random.default_rng(14))
-        path = str(tmp_path / "model.bin")
-        save_model(path, model)
-        back = load_model(path)
-        assert np.array_equal(back.feature_map.weight, model.feature_map.weight)
-        assert np.array_equal(back.feature_map.bias, model.feature_map.bias)
-        for p, q in zip(model.head, back.head):
-            assert np.array_equal(p.data, q.data)
-        x = np.random.default_rng(15).normal(size=(3, 6))
-        assert np.array_equal(model_logits(back, x).data, model_logits(model, x).data)
-
-    def test_save_is_byte_deterministic(self, tmp_path):
-        model = SurrogateModel.create(4, 4, 2, np.random.default_rng(16))
-        p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-        save_model(p1, model)
-        save_model(p2, model)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-
-    def test_load_rejects_bad_format(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b'{"format": "something-else"}\n')
-        with pytest.raises(ValueError):
-            load_model(str(path))
-
-    def test_load_rejects_truncated(self, tmp_path):
-        model = SurrogateModel.create(4, 4, 2, np.random.default_rng(17))
-        path = str(tmp_path / "model.bin")
-        save_model(path, model)
-        blob = open(path, "rb").read()
-        trunc = tmp_path / "trunc.bin"
-        trunc.write_bytes(blob[:-16])
-        with pytest.raises(ValueError):
-            load_model(str(trunc))
-
-
-def _saved_blob(tmp_path, seed=18):
-    model = SurrogateModel.create(3, 4, 2, np.random.default_rng(seed))
-    path = str(tmp_path / "model.bin")
-    save_model(path, model)
-    return model, open(path, "rb").read()
-
-
-def _arrays(model):
-    return [model.feature_map.weight, model.feature_map.bias] + [p.data for p in model.head]
-
-
-def _with_header(blob, edit):
-    line, _, body = blob.partition(b"\n")
-    header = json.loads(line)
-    edit(header)
-    return json.dumps(header).encode() + b"\n" + body
-
-
-def _drop(key):
-    return lambda h: h.pop(key)
-
-
-def _set(key, value):
-    return lambda h: h.__setitem__(key, value)
-
-
-class TestLoadModelValidation:
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            pytest.param(_set("version", 99), id="version-99"),
-            pytest.param(_drop("version"), id="no-version"),
-            pytest.param(_drop("arrays"), id="no-arrays"),
-            pytest.param(_drop("hidden"), id="no-hidden"),
-            pytest.param(_drop("n_features"), id="no-n_features"),
-            pytest.param(_drop("n_classes"), id="no-n_classes"),
-            pytest.param(_set("hidden", 5), id="hidden-disagrees"),
-            pytest.param(_set("n_classes", 0), id="zero-classes"),
-            pytest.param(_set("n_classes", True), id="bool-classes"),
-            pytest.param(_set("n_features", "3"), id="string-features"),
-            pytest.param(_set("arrays", "w1"), id="arrays-not-a-list"),
-            pytest.param(lambda h: h["arrays"].pop(), id="five-arrays"),
-            pytest.param(lambda h: h["arrays"].reverse(), id="arrays-reordered"),
-            pytest.param(lambda h: h["arrays"][2].__setitem__("name", "w9"), id="other-name"),
-            pytest.param(lambda h: h["arrays"][4].__setitem__("shape", [2, 4]), id="other-shape"),
-            # Same byte count as the saved arrays, other layout.
-            pytest.param(lambda h: h.update(hidden=2, n_features=6), id="same-size-other-dims"),
-        ],
-    )
-    def test_inconsistent_header_rejected(self, tmp_path, edit):
-        _, blob = _saved_blob(tmp_path)
-        path = tmp_path / "bad.bin"
-        path.write_bytes(_with_header(blob, edit))
-        with pytest.raises(ValueError):
-            load_model(str(path))
-
-    @pytest.mark.parametrize(
-        "data", [b"", b"\n", b"[1, 2]\n", b"\xff\xfe\n", b"{}", b"[" * 100_000 + b"\n"]
-    )
-    def test_not_a_model_rejected(self, tmp_path, data):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(data)
-        with pytest.raises(ValueError):
-            load_model(str(path))
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        _, blob = _saved_blob(tmp_path)
-        path = tmp_path / "long.bin"
-        path.write_bytes(blob + b"\0" * 8)
-        with pytest.raises(ValueError, match="data bytes"):
-            load_model(str(path))
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        kind=st.sampled_from(["truncate", "extend", "mutate"]),
-        where=st.floats(0.0, 1.0, exclude_max=True),
-        extra=st.binary(min_size=1, max_size=24),
-    )
-    def test_damaged_file_is_rejected_or_loads_unchanged(self, tmp_path_factory, kind, where, extra):
-        tmp_path = tmp_path_factory.mktemp("fuzz")
-        model, blob = _saved_blob(tmp_path)
-        body_start = blob.index(b"\n") + 1
-        pos = int(where * len(blob))
-        if kind == "truncate":
-            damaged = blob[:pos]
-        elif kind == "extend":
-            damaged = blob + extra
-        else:
-            damaged = blob[:pos] + bytes([blob[pos] ^ extra[0]]) + blob[pos + 1 :]
-        path = tmp_path / "damaged.bin"
-        path.write_bytes(damaged)
-        try:
-            back = load_model(str(path))
-        except ValueError:
-            return
-        # Only a mutated data byte can load, and then it changes one value.
-        flat = np.concatenate([a.ravel() for a in _arrays(model)])
-        back_flat = np.concatenate([a.ravel() for a in _arrays(back)])
-        assert [a.shape for a in _arrays(back)] == [a.shape for a in _arrays(model)]
-        changed = flat.view(np.uint64) != back_flat.view(np.uint64)
-        if kind == "mutate" and pos >= body_start:
-            assert not changed[np.arange(flat.size) != (pos - body_start) // 8].any()
-        else:
-            assert not changed.any()
