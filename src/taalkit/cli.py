@@ -120,16 +120,21 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _parse_tala_list(text: str) -> list[str]:
+    """Canonical names of the comma-separated talas, display names allowed;
+    naming one tala twice is an input error."""
     if text == "all":
         return [t.name for t in builtin_talas()]
-    names = [n.strip() for n in text.split(",") if n.strip()]
-    if not names:
-        raise InputError("--talas: no names given")
-    for n in names:
+    names = []
+    for n in filter(None, map(str.strip, text.split(","))):
         try:
-            get_tala(n)
+            name = get_tala(n).name
         except KeyError as e:
             raise InputError(str(e.args[0])) from e
+        if name in names:
+            raise InputError(f"--talas: {name} is named twice")
+        names.append(name)
+    if not names:
+        raise InputError("--talas: no names given")
     return names
 
 

@@ -32,7 +32,9 @@ from .surrogate import (
     stack_heads,
     tile_head,
     unstack_head,
+    wce_from_targets,
     wce_loss,
+    wce_targets,
     with_new_head_output,
 )
 from .tasks import FewShotTask, check_counts, take_tasks
@@ -106,13 +108,16 @@ def inner_adapt(
     the last step: non-finite final parameters raise
     ``DivergenceError(steps)``, the step whose update made them so.
     """
+    # Labels and weights are checked, and the loss targets built, once: the
+    # support logits keep the labels' shape plus the class axis.
+    targets = wce_targets((*np.shape(support_y), head[-1].shape[-1]), support_y, weights)
     path = [list(head)]
     for step in range(1, steps + 1):
         params = path[-1]
         _check_finite(params, step)
         logits = head_logits(support_h, params)
         _check_finite([logits], step)
-        loss = wce_loss(logits, support_y, weights)
+        loss = wce_from_targets(logits, targets)
         _check_finite([loss], step)
         grads = grad(loss, params, grad_output=Tensor(np.ones(loss.shape)), create_graph=second_order)
         _check_finite(grads, step)
@@ -227,6 +232,7 @@ def meta_test_adapt(
     cfg: MamlConfig,
     head: Sequence[Sequence[Tensor]] | None = None,
     redim_seed: int | np.random.SeedSequence | None = None,
+    trace: bool = True,
 ) -> AdaptResult | list[AdaptResult]:
     """Adapt a copy of the head to one unseen task and score its query set.
 
@@ -238,7 +244,9 @@ def meta_test_adapt(
     row at step k holds support and query loss after k steps; every head on
     the path is scored in one stacked forward pass.  Non-finite support or
     query logits in that pass are a divergence as in ``query_objective``:
-    ``DivergenceError(max(1, k))`` for the earliest such step k.
+    ``DivergenceError(max(1, k))`` for the earliest such step k.  Without
+    ``trace`` only the final heads are scored, so the trace is the one row
+    of the last step, and only non-finite final logits are a divergence.
 
     ``head`` None adapts the model's head and returns one ``AdaptResult``; a
     list of heads adapts them side by side in one stacked graph and returns
@@ -261,12 +269,13 @@ def meta_test_adapt(
         cfg.alpha, cfg.adapt_iters * cfg.inner_steps, False,
     )
 
-    # Row k * n + i of the stacked pass is head i after k steps.
-    trace_heads = [Tensor(np.concatenate([p.data for p in layer])) for layer in zip(*path)]
-    s_logits, q_logits = head_logits(sh, trace_heads).data, head_logits(qh, trace_heads).data
+    # Row k * n + i of the stacked pass is head i after first + k steps.
+    first = 0 if trace else len(path) - 1
+    scored = [Tensor(np.concatenate([p.data for p in layer])) for layer in zip(*path[first:])]
+    s_logits, q_logits = head_logits(sh, scored).data, head_logits(qh, scored).data
     finite = np.isfinite(s_logits).all(axis=(1, 2)) & np.isfinite(q_logits).all(axis=(1, 2))
     if not finite.all():
-        raise DivergenceError(max(1, int(np.argmin(finite)) // n))
+        raise DivergenceError(max(1, first + int(np.argmin(finite)) // n))
     sw = np.tile(w, (len(finite), 1))
     sup = wce_loss(s_logits, np.tile(task.support_y, (len(finite), 1)), sw).data.reshape(-1, n)
     q = wce_loss(q_logits, np.tile(task.query_y, (len(finite), 1)), sw).data.reshape(-1, n)
@@ -274,7 +283,7 @@ def meta_test_adapt(
     results = [
         AdaptResult(
             head=unstack_head(path[-1], i),
-            trace=[(k, float(sup[k, i]), float(q[k, i])) for k in range(len(path))],
+            trace=[(first + k, float(sup[k, i]), float(q[k, i])) for k in range(len(sup))],
             query_loss=float(q[-1, i]),
             query_accuracy=float(np.mean(predicted[i] == task.query_y)),
             redimensioned=start is not base,
@@ -333,7 +342,8 @@ def paired_few_shot_eval(
     Both arms share the frozen feature map, the support data, and the exact
     adaptation procedure; only the initialization of the head differs, so
     the paired comparison isolates what meta-training bought.  The two arms
-    of a task adapt together in one stacked ``meta_test_adapt`` call.
+    of a task adapt together in one stacked ``meta_test_adapt`` call, which
+    scores only the adapted heads: an outcome needs no trace.
     """
     outcomes = []
     for task in tasks:
@@ -345,6 +355,7 @@ def paired_few_shot_eval(
             cfg,
             head=[model.head, random_head],
             redim_seed=_pair_seed(baseline_seed, task.task_id, 0),
+            trace=False,
         )
         outcomes.append(
             PairedOutcome(

@@ -320,13 +320,14 @@ def write_onsets_csv(annotation: OnsetAnnotation, dest: str | TextIO) -> None:
 
 
 def read_onsets_csv(src: str | TextIO) -> OnsetAnnotation:
-    """Read ``time_sec,label`` rows; blank lines are skipped.
+    """Read ``time_sec,label`` rows; blank lines are skipped.  A path is
+    read as UTF-8, after a byte-order mark if there is one.
 
     A malformed row (no comma, a time that is not a finite number, or a
     label that is No-stroke or not one stroke token) raises ``ValueError``
     naming its 1-based line number.
     """
-    with open(src, "r", encoding="utf-8") if isinstance(src, str) else nullcontext(src) as fh:
+    with open(src, "r", encoding="utf-8-sig") if isinstance(src, str) else nullcontext(src) as fh:
         header = fh.readline().strip()
         if header != ONSET_CSV_HEADER:
             raise ValueError(f"expected header {ONSET_CSV_HEADER!r}, got {header!r}")

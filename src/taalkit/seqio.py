@@ -16,18 +16,17 @@ from typing import Iterable, TextIO
 
 from .talas import TOKEN_ALIASES, builtin_talas
 
-TOKENS_PER_LINE = 8
-
 
 def read_stroke_tokens(src: str | TextIO) -> list[str]:
     """Read and normalize tokens; a line whose first token starts with
     ``#`` is a comment and is skipped.
 
+    A path is read as UTF-8, after a byte-order mark if there is one.
     Lines are the stream's own, as iterating it yields them.  The text is
     split once; the comment filter runs only when a ``#`` occurs and the
     alias mapping only when an alias does.
     """
-    with open(src, "r", encoding="utf-8") if isinstance(src, str) else nullcontext(src) as fh:
+    with open(src, "r", encoding="utf-8-sig") if isinstance(src, str) else nullcontext(src) as fh:
         lines = fh.readlines()
     text = "".join(lines)
     if "#" in text:
@@ -38,19 +37,6 @@ def read_stroke_tokens(src: str | TextIO) -> list[str]:
     if any(alias in text for alias in TOKEN_ALIASES):
         tokens = list(map(TOKEN_ALIASES.get, tokens, tokens))
     return tokens
-
-
-def write_stroke_tokens(tokens: Iterable[str], dest: str | TextIO) -> None:
-    """Write tokens, a fixed number per line, ending with a newline."""
-    with open(dest, "w", encoding="utf-8") if isinstance(dest, str) else nullcontext(dest) as fh:
-        row: list[str] = []
-        for t in tokens:
-            row.append(t)
-            if len(row) == TOKENS_PER_LINE:
-                fh.write(" ".join(row) + "\n")
-                row = []
-        if row:
-            fh.write(" ".join(row) + "\n")
 
 
 @cache

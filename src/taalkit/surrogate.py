@@ -150,6 +150,28 @@ def class_weights_from_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return class_weights(np.bincount(labels, minlength=n_classes))
 
 
+def wce_targets(shape: tuple[int, ...], labels: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check labels and weights against a logits shape, as `wce_loss` does,
+    and build what its loss needs of them: the one-hot label matrix and
+    each frame's class weight."""
+    labels = np.asarray(labels, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(shape) not in (2, 3):
+        raise ValueError(f"logits must be (T, C) or (B, T, C), got {shape}")
+    *lead, t, c = shape
+    if t == 0:
+        raise ValueError("wce_loss needs at least one frame")
+    if labels.shape != (*lead, t):
+        raise ValueError(f"labels shape {labels.shape} does not match logits {shape}")
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"labels must lie in [0, {c}), got range [{labels.min()}, {labels.max()}]")
+    if weights.shape != (*lead, c):
+        raise ValueError(f"weights shape {weights.shape} does not match logits {shape}")
+    if not np.isfinite(weights).all():
+        raise ValueError("non-finite values in class weights")
+    return np.eye(c)[labels], np.take_along_axis(weights, labels, axis=-1)
+
+
 def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     """Weighted cross-entropy from raw scores, averaged over frames.
 
@@ -158,39 +180,35 @@ def wce_loss(logits, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     result is the mean of those terms over the T frames.  (T, C) logits with
     (T,) labels and (C,) weights give a scalar; a batch of (B, T, C) logits
     with (B, T) labels and (B, C) weights gives the (B,) per-task losses.
-
-    The loss is one graph node.  Its backward rule, d/dz = -w_{y_t} / T *
-    (onehot - softmax(z)) per frame, zero where the floor holds, is written
-    in Tensor operations, so it can be differentiated again; when ``grad``
-    records no graph it runs the same operations on arrays.  The softmax
-    subtracts a detached row maximum c, which is exact at every order:
-    exp(z - c) / sum(exp(z - c)) does not depend on c.
+    Logits must be finite.  It is `wce_targets`, then `wce_from_targets`.
     """
     logits = ensure_tensor(logits)
-    labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if logits.ndim not in (2, 3):
-        raise ValueError(f"logits must be (T, C) or (B, T, C), got {logits.shape}")
-    *lead, t, c = logits.shape
-    if t == 0:
-        raise ValueError("wce_loss needs at least one frame")
-    if labels.shape != (*lead, t):
-        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"labels must lie in [0, {c}), got range [{labels.min()}, {labels.max()}]")
-    if weights.shape != (*lead, c):
-        raise ValueError(f"weights shape {weights.shape} does not match logits {logits.shape}")
+    targets = wce_targets(logits.shape, labels, weights)
     if not np.isfinite(logits.data).all():
         raise ValueError("non-finite values in logits")
-    if not np.isfinite(weights).all():
-        raise ValueError("non-finite values in class weights")
+    return wce_from_targets(logits, targets)
+
+
+def wce_from_targets(logits: Tensor, targets: tuple[np.ndarray, np.ndarray]) -> Tensor:
+    """`wce_loss` of logits shaped as the targets' one-hot matrix, as one
+    graph node; the logits are not checked for finiteness.
+
+    The backward rule, d/dz = -w_{y_t} / T * (onehot - softmax(z)) per
+    frame, zero where the floor holds, is written in Tensor operations, so
+    it can be differentiated again; when ``grad`` records no graph it runs
+    the same operations on arrays.  The softmax subtracts a detached row
+    maximum c, which is exact at every order: exp(z - c) / sum(exp(z - c))
+    does not depend on c.
+    """
+    onehot, frame_weights = targets
+    if logits.shape != onehot.shape:
+        raise ValueError(f"logits {logits.shape} do not match loss targets {onehot.shape}")
+    t = onehot.shape[-2]
     z = logits.data
     shift = z.max(axis=-1, keepdims=True)
     logp = z - (np.log(np.exp(z - shift).sum(axis=-1, keepdims=True)) + shift)
     floor = float(np.log(PROB_FLOOR))
-    onehot = np.eye(c)[labels]
     picked = (np.maximum(logp, floor) * onehot).sum(axis=-1)
-    frame_weights = np.take_along_axis(weights, labels, axis=-1)
     value = (picked * frame_weights).sum(axis=-1) * (-1.0 / t)
     coef = (frame_weights * (picked > floor) * (-1.0 / t))[..., None]
 

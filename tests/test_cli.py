@@ -24,7 +24,7 @@ from taalkit.cli import (
     build_parser,
     main,
 )
-from taalkit.seqio import write_stroke_tokens
+from taalkit.maml import CONFIG_FIELDS
 from taalkit.simulate import MAX_PERFORMANCE_STROKES, NoiseSpec, PerformanceSpec, corrupt, generate_performance
 from taalkit.talas import TOKEN_ALIASES
 
@@ -33,7 +33,7 @@ from taalkit.talas import TOKEN_ALIASES
 def ektal_file(tmp_path):
     perf = generate_performance(PerformanceSpec(tala="Ektal", cycles=2))
     path = tmp_path / "ektal.txt"
-    write_stroke_tokens(perf.names, str(path))
+    path.write_text(" ".join(perf.names) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -78,14 +78,22 @@ class TestIdentify:
         assert "Zzz" in captured.err and "Qqq" in captured.err
         json.loads(captured.out)  # stdout still valid JSON
 
+    def test_byte_order_mark_is_not_a_token(self, tmp_path, capsys):
+        path = tmp_path / "marked.txt"
+        path.write_text("Dha Dhin Dhin Dha\n", encoding="utf-8-sig")
+        assert main(["identify", str(path), "--method", "ratio"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["ranking"][0]["coverage"] == 1.0
+
     def test_ratio_ranking_order_invariant(self, tmp_path, capsys):
         perf = generate_performance(PerformanceSpec(tala="Jhaptal", cycles=2))
         ordered = tmp_path / "ordered.txt"
-        write_stroke_tokens(perf.names, str(ordered))
+        ordered.write_text(" ".join(perf.names) + "\n", encoding="utf-8")
         shuffled_names = list(perf.names)
         np.random.default_rng(0).shuffle(shuffled_names)
         shuffled = tmp_path / "shuffled.txt"
-        write_stroke_tokens(shuffled_names, str(shuffled))
+        shuffled.write_text(" ".join(shuffled_names) + "\n", encoding="utf-8")
 
         main(["identify", str(ordered), "--method", "ratio"])
         a = json.loads(capsys.readouterr().out)
@@ -98,7 +106,7 @@ class TestIdentify:
             PerformanceSpec(tala="Tintal", cycles=2, gharana_variant=True)
         )
         path = tmp_path / "variant.txt"
-        write_stroke_tokens(variant.names, str(path))
+        path.write_text(" ".join(variant.names) + "\n", encoding="utf-8")
 
         main(["identify", str(path), "--method", "nw"])
         with_equiv = json.loads(capsys.readouterr().out)
@@ -138,7 +146,7 @@ def _noisy_tintal_file(directory, strokes):
     perf = generate_performance(PerformanceSpec(tala="Tintal", cycles=strokes // 16))
     noisy = corrupt(perf, NoiseSpec(p_sub=0.1, p_del=0.1, p_ins=0.1, seed=7))
     path = directory / f"tintal_{strokes}.txt"
-    write_stroke_tokens(noisy.names, str(path))
+    path.write_text(" ".join(noisy.names) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -196,6 +204,21 @@ class TestEval:
     def test_bad_tala_rejected(self, capsys):
         assert main(["eval", "--talas", "Dhamar", "--trials", "1"]) == 2
         assert "unknown tala" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "talas, rows",
+        [("Rūpak", ["Rupak"]), ("Tintal,Tintal", None), ("Tintal,Tīntāl", None)],
+    )
+    def test_display_names_map_and_a_tala_named_twice_is_rejected(self, talas, rows, capsys):
+        code = main(["eval", "--talas", talas, "--trials", "2"])
+        captured = capsys.readouterr()
+        if rows is None:
+            assert code == 2
+            assert captured.err.startswith("error: --talas: ") and captured.err.count("\n") == 1
+        else:
+            assert code == 0, captured.err
+            lines = captured.out.splitlines()[1:]
+            assert [line.split(",")[0] for line in lines] == [t for t in rows for _ in ("nw", "ratio")]
 
     def test_bad_probability_rejected(self, capsys):
         assert main(["eval", "--p-del", "0,zap", "--trials", "1"]) == 2
@@ -543,8 +566,8 @@ _stroke_names = st.sampled_from(["Dha", "Dhin", "Na", "Tin", "Ta", "Tit", "Ge", 
                                  *TOKEN_ALIASES])
 # Strategies for the string-valued flags, by destination.
 _STRING_FLAGS = {
-    "talas": _mostly(st.sampled_from(["all", "Tintal", "Rupak,Ektal", "Jhaptal,"]),
-                     st.sampled_from(["Dhamar", ",", ""]) | st.text(max_size=6)),
+    "talas": _mostly(st.sampled_from(["all", "Tintal", "Rupak,Ektal", "Jhaptal,", "Rūpak"]),
+                     st.sampled_from(["Dhamar", ",", "", "Tintal,Tīntāl"]) | st.text(max_size=6)),
     "p_sub": _probabilities,
     "p_del": _probabilities,
     "p_ins": _probabilities,
@@ -611,3 +634,59 @@ class TestFlagTables:
         assert code in (0, 2), (argv, err)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# Every MamlConfig field meets each value, in a --config file and, where
+# argparse takes the text, as the field's flag: (id, JSON value, flag text).
+CONFIG_VALUES = [
+    ("0", 0, "0"), ("-1", -1, "-1"), ("true", True, "true"), ("2.5", 2.5, "2.5"),
+    ("nan", math.nan, "nan"), ("inf", math.inf, "inf"), ("1e400", 10**400, str(10**400)),
+    ("x", "x", "x"), ("null", None, "null"),
+]
+# Values a field accepts are left out; 10^400 epochs would run for ever.
+ACCEPTED_CONFIG_VALUES = {
+    "alpha": {"0", "2.5"}, "beta": {"0", "2.5"}, "inner_steps": {"0"}, "epochs": {"0", "1e400"},
+    "adapt_iters": {"0"}, "seed": {"0", "1e400"},
+}
+
+
+def _flag_takes(field, text):
+    action = next(a for a in _subcommands()["maml-demo"]._actions if a.dest == field)
+    try:
+        value = action.type(text)
+    except ValueError:
+        return False
+    return action.choices is None or value in action.choices
+
+
+def _config_value_cases():
+    for field in CONFIG_FIELDS:
+        for vid, value, text in CONFIG_VALUES:
+            if vid in ACCEPTED_CONFIG_VALUES.get(field, ()):
+                continue
+            yield pytest.param(field, "config", value, id=f"{field}-config-{vid}")
+            if _flag_takes(field, text):
+                yield pytest.param(field, "flag", text, id=f"{field}-flag-{vid}")
+
+
+class TestConfigValueTable:
+    @pytest.mark.parametrize("field, via, value", list(_config_value_cases()))
+    def test_rejected_value_is_exit_2_with_one_line(self, field, via, value, tmp_path, capsys, monkeypatch):
+        # Tiny sizes: every value is rejected before a task is drawn.
+        import taalkit.cli as cli_module
+
+        def never(*args, **kwargs):
+            pytest.fail("drew tasks before the config was rejected")
+
+        monkeypatch.setattr(cli_module, "synth_task_source", never)
+        argv = ["maml-demo", "--features", "1", "--support", "1", "--query", "1", "--hidden", "1",
+                "--n-test-tasks", "1", "--out", str(tmp_path)]
+        if via == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({field: value}), encoding="utf-8")
+            argv += ["--config", str(path)]
+        else:
+            argv.append(f"--{field.replace('_', '-')}={value}")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -633,9 +633,10 @@ class TestMetaTestAdapt:
         assert np.mean(accs) >= 0.95
 
 
-def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
+def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None, trace=True):
     """Test-time adaptation one plain gradient step at a time, scoring the
-    trace after each step with its own forward passes.
+    trace after each step with its own forward passes; without ``trace``,
+    only the final heads are scored.
 
     Divergence is numbered by the rule in ``inner_adapt``'s docstring: step
     k fails when the parameters, support logits, loss or gradients are not
@@ -686,7 +687,7 @@ def reference_meta_test_adapt(model, task, cfg, head=None, redim_seed=None):
         raise DivergenceError(steps)
     # The trace is scored once the steps are done, so a divergence among
     # them is reported before a non-finite trace row.
-    rows = [losses(k, p) for k, p in enumerate(path)]
+    rows = [losses(k, p) for k, p in enumerate(path) if trace or k == steps]
 
     predicted = np.argmax(head_logits(qh, params).data, axis=-1)
     results = [
@@ -774,6 +775,27 @@ class TestAgainstStepwiseReference:
         paired_few_shot_eval(model, [task, task], cfg)
         assert calls == [12, 12, 12, 12]
 
+    def test_paired_eval_scores_only_the_adapted_heads(self, monkeypatch):
+        # Each wce_loss call in meta_test_adapt scores one stacked pass; its
+        # leading axis counts the heads scored.  inner_adapt's steps apply
+        # prebuilt loss targets instead.
+        scored = []
+
+        def counting(logits, labels, weights):
+            scored.append(np.shape(logits)[0])
+            return wce_loss(logits, labels, weights)
+
+        monkeypatch.setattr(taalkit.maml, "wce_loss", counting)
+        tcfg = easy_task_config(seed=30)
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(30))
+        task = next(synth_task_source(tcfg))
+        cfg = MamlConfig(alpha=0.2, inner_steps=3, adapt_iters=4)
+        meta_test_adapt(model, task, cfg, head=[model.head, init_head(np.random.default_rng(31), 8, 3)])
+        assert scored == [(4 * 3 + 1) * 2] * 2
+        scored.clear()
+        paired_few_shot_eval(model, [task, task], cfg)
+        assert scored == [2] * 4  # support and query, two heads, per task
+
 
 class TestStackedAdaptation:
     @pytest.mark.parametrize("task_classes", [3, 4])
@@ -815,6 +837,61 @@ class TestStackedAdaptation:
             with pytest.raises(DivergenceError) as exc:
                 meta_test_adapt(model, task, cfg, head=[model.head, wild])
         assert exc.value.step == 2
+
+
+class TestUntracedAdaptation:
+    @pytest.mark.parametrize("adapt_iters, inner_steps", [(0, 3), (3, 2)])
+    @pytest.mark.parametrize("task_classes", [3, 4], ids=["same-classes", "redrawn-output"])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_equals_traced_run(self, adapt_iters, inner_steps, task_classes, n_heads):
+        tcfg = easy_task_config(seed=32, stroke_classes=task_classes)
+        model = SurrogateModel.create(tcfg.n_features, 8, 3, np.random.default_rng(32))
+        task = next(synth_task_source(tcfg))
+        cfg = MamlConfig(alpha=0.2, inner_steps=inner_steps, adapt_iters=adapt_iters)
+        head = None if n_heads == 1 else [model.head, init_head(np.random.default_rng(33), 8, 3)]
+        runs = [meta_test_adapt(model, task, cfg, head=head, redim_seed=4, trace=trace) for trace in (True, False)]
+        refs = [reference_meta_test_adapt(model, task, cfg, head=head, redim_seed=4, trace=trace)
+                for trace in (True, False)]
+        traced, untraced, _, ref_untraced = [[r] if n_heads == 1 else r for r in runs + refs]
+        assert untraced[0].redimensioned == (task_classes != 3)
+        for a, b, ref in zip(traced, untraced, ref_untraced, strict=True):
+            assert b.trace == [a.trace[-1]]
+            assert b.trace[0][0] == adapt_iters * inner_steps
+            assert_same_adaptation(dataclasses.replace(a, trace=b.trace), b)
+            assert_same_adaptation(b, ref)
+
+    @pytest.mark.parametrize("adapt_iters, step", [(1, 1), (2, 2)])
+    def test_divergence_step_equals_traced_run(self, adapt_iters, step):
+        # One step leaves finite parameters whose query logits overflow:
+        # scored as the final heads, at step 1; a second step diverges in
+        # inner_adapt, before any head is scored.
+        model, tasks = TestBatchedObjective._query_overflow_setup()
+        cfg = MamlConfig(alpha=1.3732021482183925e308, inner_steps=1, adapt_iters=adapt_iters)
+        for adapt in (meta_test_adapt, reference_meta_test_adapt):
+            for trace in (True, False):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    with pytest.raises(DivergenceError) as exc:
+                        adapt(model, tasks[0], cfg, trace=trace)
+                assert exc.value.step == step
+
+    def test_untraced_run_reports_final_logits_at_the_last_step(self):
+        # The unit is 0 on the support frame and near 1 on the query frame,
+        # so the huge output layer overflows only the query logits.  No
+        # step moves the head (alpha 0): a traced run reports its first
+        # head, an untraced one its final head at step 4.
+        model, tasks = TestBatchedObjective._query_overflow_setup()
+        task = tasks[0]
+        hs, hq = model.feature_map.apply(task.support_x)[0, 0], model.feature_map.apply(task.query_x)[0, 0]
+        k = 50.0 * np.sign(hq - hs) / abs(hq - hs)
+        big = np.full((1, task.n_classes), 1.7e308)
+        head = [Tensor(a, requires_grad=True) for a in (np.array([[k]]), np.array([-k * hs]), big, big[0])]
+        cfg = MamlConfig(alpha=0.0, inner_steps=2, adapt_iters=2)
+        for adapt in (meta_test_adapt, reference_meta_test_adapt):
+            for trace, step in ((True, 1), (False, 4)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    with pytest.raises(DivergenceError) as exc:
+                        adapt(model, task, cfg, head=[head], trace=trace)
+                assert exc.value.step == step
 
 
 def reference_paired_eval(model, tasks, cfg, baseline_seed):

@@ -548,6 +548,14 @@ class TestCsvInterchange:
         back = read_onsets_csv(str(path))
         assert back.events == ((0.0, "Dha"), (0.25, "Tin"))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = f"{ONSET_CSV_HEADER}\n0.0,Dha\n0.25,Tin\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_onsets_csv(str(marked)).events == read_onsets_csv(str(plain)).events == ((0.0, "Dha"), (0.25, "Tin"))
+
     def test_callers_stream_stays_open(self):
         buf = io.StringIO(f"{ONSET_CSV_HEADER}\n0.5,Dha\n")
         assert read_onsets_csv(buf).events == ((0.5, "Dha"),)

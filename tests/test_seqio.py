@@ -6,13 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taalkit.seqio import (
-    TOKENS_PER_LINE,
-    known_stroke_names,
-    out_of_vocabulary,
-    read_stroke_tokens,
-    write_stroke_tokens,
-)
+from taalkit.seqio import known_stroke_names, out_of_vocabulary, read_stroke_tokens
 from taalkit.talas import TOKEN_ALIASES
 
 
@@ -94,32 +88,24 @@ class TestRead:
         p.write_text("Dha Dhin\nTin\n", encoding="utf-8")
         assert read_stroke_tokens(str(p)) == ["Dha", "Dhin", "Tin"]
 
+    def test_reads_a_written_string(self, tmp_path):
+        tokens = ["Dha", "Dhin", "Tin", "Na"] * 5
+        p = tmp_path / "out.txt"
+        p.write_text(" ".join(tokens) + "\n", encoding="utf-8")
+        assert read_stroke_tokens(str(p)) == tokens
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "Dha Dhin\n# comment\nTin DhaGe\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_stroke_tokens(str(marked)) == read_stroke_tokens(str(plain)) == ["Dha", "Dhin", "Tin", "Dhage"]
+
     def test_callers_stream_stays_open(self):
         buf = io.StringIO("Dha Dhin\n")
         assert read_stroke_tokens(buf) == ["Dha", "Dhin"]
         assert not buf.closed
-
-
-class TestWrite:
-    def test_eight_tokens_per_line(self):
-        buf = io.StringIO()
-        write_stroke_tokens([f"T{i}" for i in range(10)], buf)
-        lines = buf.getvalue().splitlines()
-        assert TOKENS_PER_LINE == 8
-        assert lines[0] == "T0 T1 T2 T3 T4 T5 T6 T7"
-        assert lines[1] == "T8 T9"
-        assert buf.getvalue().endswith("\n")
-
-    def test_round_trip(self, tmp_path):
-        tokens = ["Dha", "Dhin", "Tin", "Na"] * 5
-        p = str(tmp_path / "out.txt")
-        write_stroke_tokens(tokens, p)
-        assert read_stroke_tokens(p) == tokens
-
-    def test_empty_write(self):
-        buf = io.StringIO()
-        write_stroke_tokens([], buf)
-        assert buf.getvalue() == ""
 
 
 class TestVocabulary:

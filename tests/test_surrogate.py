@@ -20,7 +20,9 @@ from taalkit.surrogate import (
     stack_heads,
     tile_head,
     unstack_head,
+    wce_from_targets,
     wce_loss,
+    wce_targets,
     with_new_head_output,
 )
 
@@ -325,6 +327,61 @@ class TestWceLoss:
             wce_loss(np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=int), np.ones(4))
         with pytest.raises(ValueError):
             wce_loss(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3), dtype=int), np.ones((1, 2, 4)))
+
+    @staticmethod
+    def _loss_and_grads(loss, z, create_graph):
+        """The loss value, its vjp under ones, and at order 2 the vjp of
+        that gradient's sum of squares, as arrays."""
+        (g,) = grad(loss, [z], grad_output=Tensor(np.ones(loss.shape)), create_graph=create_graph)
+        out = [loss.data, g.data]
+        if create_graph:
+            out.append(grad((g * g).sum(), [z])[0].data)
+        return out
+
+    @given(
+        lead=st.sampled_from([(), (1,), (3,)]),
+        frames=st.integers(1, 6),
+        classes=st.integers(1, 4),
+        scale=st.sampled_from([1.0, 30.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+        create_graph=st.booleans(),
+    )
+    @settings(max_examples=150)
+    def test_targets_built_once_equal_wce_loss(self, lead, frames, classes, scale, seed, create_graph):
+        # Targets are built once and applied to several logits, as in
+        # `inner_adapt`; each application equals a fresh `wce_loss` bitwise.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, classes, size=lead + (frames,))
+        weights = rng.uniform(0.1, 5.0, size=lead + (classes,))
+        targets = wce_targets(lead + (frames, classes), labels, weights)
+        for _ in range(3):
+            z0 = rng.normal(scale=scale, size=lead + (frames, classes))
+            za, zb = Tensor(z0, requires_grad=True), Tensor(z0, requires_grad=True)
+            got = self._loss_and_grads(wce_from_targets(za, targets), za, create_graph)
+            want = self._loss_and_grads(wce_loss(zb, labels, weights), zb, create_graph)
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_targets_check_as_wce_loss_does(self):
+        cases = [
+            ((2, 3), np.array([0]), np.ones(3)),
+            ((2, 3), np.array([0, 1]), np.ones(2)),
+            ((2, 3), np.array([0, 3]), np.ones(3)),
+            ((2, 3), np.array([0, 1]), np.array([np.nan, 1.0, 1.0])),
+            ((2, 3, 4), np.zeros(3, dtype=int), np.ones((2, 4))),
+            ((1, 2, 3, 4), np.zeros((1, 2, 3), dtype=int), np.ones((1, 2, 4))),
+        ]
+        for shape, labels, weights in cases:
+            with pytest.raises(ValueError) as built:
+                wce_targets(shape, labels, weights)
+            with pytest.raises(ValueError) as loss:
+                wce_loss(np.zeros(shape), labels, weights)
+            assert str(built.value) == str(loss.value)
+
+    def test_targets_reject_logits_of_another_shape(self):
+        targets = wce_targets((2, 3), np.array([0, 1]), np.ones(3))
+        with pytest.raises(ValueError, match="do not match loss targets"):
+            wce_from_targets(Tensor(np.zeros((3, 3))), targets)
 
 
 class TestWceLossProbs:

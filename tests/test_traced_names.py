@@ -44,7 +44,7 @@ def identify_long(tmp_path):
     perf = simulate.generate_performance(simulate.PerformanceSpec(tala="Tintal", cycles=4, gharana_variant=True))
     noisy = simulate.corrupt(perf, simulate.NoiseSpec(p_sub=0.1, p_del=0.1, p_ins=0.05, seed=3))
     path = tmp_path / "noisy.txt"
-    tk("seqio").write_stroke_tokens(noisy.names, str(path))
+    path.write_text(" ".join(noisy.names) + "\n", encoding="utf-8")
     for method in ("nw", "ratio"):
         assert tk("cli").main(["identify", str(path), "--method", method]) == 0
 
