@@ -138,6 +138,15 @@ def _parse_tala_list(text: str) -> list[str]:
     return names
 
 
+def _outcome(names: tuple[str, ...], tala: str) -> list[tuple[bool, float]]:
+    """Per identifier: whether ``tala`` ranks first, and its normalised score."""
+    outcome = []
+    for identify in _IDENTIFIERS.values():
+        result = identify(names)
+        outcome.append((result.best.tala == tala, next(s.normalized for s in result.ranking if s.tala == tala)))
+    return outcome
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
@@ -165,23 +174,36 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for ti, name in enumerate(talas):
         hits = [dict.fromkeys(_IDENTIFIERS, 0) for _ in grid]
         score_sum = [dict.fromkeys(_IDENTIFIERS, 0.0) for _ in grid]
+        # A clean rendering depends only on its start offset, so its outcome
+        # is kept per offset: at most matra_count entries, and no names.
+        clean_outcomes: dict[int, list[tuple[bool, float]]] = {}
         # Each trial's world (start offset, corruption seed) is drawn once and
         # scored at every grid point, so the grid replays the same coin flips
-        # on the same performance; only one world is held at a time.
+        # on the same performance; only one world is held at a time.  A grid
+        # point whose extra coins fire nothing renders the previous point's
+        # names, and reuses its outcome.
         for trial in range(args.trials):
             rng = np.random.default_rng(np.random.SeedSequence([args.seed, ti, trial]))
             offset = int(rng.integers(0, get_tala(name).matra_count))
             noise_seed = int(rng.integers(0, 2**63))
             spec = PerformanceSpec(tala=name, cycles=args.cycles, start_offset=offset)
             clean = generate_performance(spec)
+            prev_names = outcome = None
             for g, (p_sub, p_del, p_ins) in enumerate(grid):
                 noisy = corrupt(clean, NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins, seed=noise_seed))
                 if len(noisy) == 0:
                     continue
-                for method, identify in _IDENTIFIERS.items():
-                    result = identify(noisy.names)
-                    hits[g][method] += result.best.tala == name
-                    score_sum[g][method] += next(s.normalized for s in result.ranking if s.tala == name)
+                if noisy.names != prev_names:
+                    prev_names = noisy.names
+                    if noisy.names != clean.names:
+                        outcome = _outcome(noisy.names, name)
+                    elif offset in clean_outcomes:
+                        outcome = clean_outcomes[offset]
+                    else:
+                        outcome = clean_outcomes[offset] = _outcome(clean.names, name)
+                for method, (hit, score) in zip(_IDENTIFIERS, outcome):
+                    hits[g][method] += hit
+                    score_sum[g][method] += score
         for g, (p_sub, p_del, p_ins) in enumerate(grid):
             for method in _IDENTIFIERS:
                 acc = hits[g][method] / args.trials

@@ -103,10 +103,11 @@ def corrupt(seq: StrokeSequence, noise: NoiseSpec) -> StrokeSequence:
     ``default_insertion_vocabulary()``.  After each original position, with
     p_ins a random stroke from it is inserted at the midpoint of the
     surrounding original onsets (or one beat after the end).  Surviving
-    strokes keep their onset and order.
+    strokes keep their onset and order.  At zero noise no pre-drawn coin can
+    fire, so the input itself is returned.
     """
     n = len(seq)
-    if n == 0:
+    if n == 0 or noise.p_sub == noise.p_del == noise.p_ins == 0:
         return seq
     rng = np.random.default_rng(noise.seed)
     vocab = default_insertion_vocabulary()

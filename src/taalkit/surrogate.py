@@ -82,7 +82,7 @@ def head_logits(features, params: Sequence[Tensor]) -> Tensor:
 
 
 def head_n_classes(params: Sequence[Tensor]) -> int:
-    return params[2].shape[1]
+    return params[2].shape[-1]
 
 
 def stack_heads(heads: Sequence[Sequence[Tensor]]) -> list[Tensor]:

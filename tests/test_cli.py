@@ -16,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from taalkit.alignment import identify_tala_nw
 from taalkit.cli import (
+    _IDENTIFIERS,
     BENCH_HEADER,
     CURVE_HEADER,
     EVAL_HEADER,
@@ -25,8 +27,9 @@ from taalkit.cli import (
     main,
 )
 from taalkit.maml import CONFIG_FIELDS
+from taalkit.ratio import identify_tala_ratio
 from taalkit.simulate import MAX_PERFORMANCE_STROKES, NoiseSpec, PerformanceSpec, corrupt, generate_performance
-from taalkit.talas import TOKEN_ALIASES
+from taalkit.talas import TOKEN_ALIASES, builtin_talas, get_tala
 
 
 @pytest.fixture
@@ -244,6 +247,77 @@ class TestEval:
                 tracemalloc.stop()
 
         assert peak(20) < 2 * peak(2)
+
+    @staticmethod
+    def _reference_csv(talas, p_subs, p_dels, p_inss, trials, cycles, seed):
+        """The eval CSV with every rendering identified by both methods, none reused."""
+        lines = [EVAL_HEADER]
+        grid = list(itertools.product(p_subs, p_dels, p_inss))
+        methods = (("nw", identify_tala_nw), ("ratio", identify_tala_ratio))
+        for ti, name in enumerate(talas):
+            hits = [dict.fromkeys(("nw", "ratio"), 0) for _ in grid]
+            sums = [dict.fromkeys(("nw", "ratio"), 0.0) for _ in grid]
+            for trial in range(trials):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, ti, trial]))
+                offset = int(rng.integers(0, get_tala(name).matra_count))
+                noise_seed = int(rng.integers(0, 2**63))
+                clean = generate_performance(PerformanceSpec(tala=name, cycles=cycles, start_offset=offset))
+                for g, (p_sub, p_del, p_ins) in enumerate(grid):
+                    noisy = corrupt(clean, NoiseSpec(p_sub=p_sub, p_del=p_del, p_ins=p_ins, seed=noise_seed))
+                    if len(noisy) == 0:
+                        continue
+                    for method, identify in methods:
+                        result = identify(noisy.names)
+                        hits[g][method] += result.best.tala == name
+                        sums[g][method] += next(s.normalized for s in result.ranking if s.tala == name)
+            for g, (p_sub, p_del, p_ins) in enumerate(grid):
+                for method, _ in methods:
+                    lines.append(f"{name},{p_sub:g},{p_del:g},{p_ins:g},{method},"
+                                 f"{hits[g][method] / trials:.4f},{sums[g][method] / trials:.6f}")
+        return "\n".join(lines) + "\n"
+
+    _ps = st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.3]), min_size=1, max_size=3)
+
+    @given(
+        talas=st.lists(st.sampled_from([t.name for t in builtin_talas()]), min_size=1, max_size=4, unique=True),
+        p_subs=_ps, p_dels=_ps, p_inss=_ps,
+        trials=st.integers(1, 8), cycles=st.integers(1, 3), seed=st.integers(0, 2**64),
+    )
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reused_outcomes_give_the_csv_of_identifying_every_rendering(
+        self, talas, p_subs, p_dels, p_inss, trials, cycles, seed, tmp_path
+    ):
+        # Repeated grid values make a point render the previous point's names.
+        out = tmp_path / "eval.csv"
+        argv = ["eval", "--talas", ",".join(talas), "--trials", str(trials), "--cycles", str(cycles),
+                "--seed", str(seed), "--out", str(out)]
+        for flag, ps in (("--p-sub", p_subs), ("--p-del", p_dels), ("--p-ins", p_inss)):
+            argv += [flag, ",".join(map(str, ps))]
+        assert main(argv) == 0
+        assert out.read_text(encoding="utf-8") == self._reference_csv(talas, p_subs, p_dels, p_inss, trials, cycles, seed)
+
+    @staticmethod
+    def _identified(monkeypatch, tmp_path, argv):
+        """Renderings each method identifies during ``main(argv)``."""
+        calls = dict.fromkeys(_IDENTIFIERS, 0)
+        for method, identify in list(_IDENTIFIERS.items()):
+            def counting(names, *args, method=method, identify=identify, **kwargs):
+                calls[method] += 1
+                return identify(names, *args, **kwargs)
+
+            monkeypatch.setitem(_IDENTIFIERS, method, counting)
+        assert main(argv + ["--out", str(tmp_path / "eval.csv")]) == 0
+        return calls
+
+    def test_clean_renderings_are_identified_once_per_start_offset(self, monkeypatch, tmp_path):
+        # Rupak has 7 matras, so 40 clean trials start at no more than 7 offsets.
+        calls = self._identified(monkeypatch, tmp_path, ["eval", "--talas", "Rupak", "--trials", "40"])
+        assert 1 <= calls["nw"] == calls["ratio"] <= 7
+
+    def test_a_repeated_grid_point_is_not_identified_again(self, monkeypatch, tmp_path):
+        argv = ["eval", "--talas", "Tintal", "--p-del", "0.1,0.1", "--trials", "3"]
+        calls = self._identified(monkeypatch, tmp_path, argv)
+        assert 1 <= calls["nw"] == calls["ratio"] <= 3
 
 
 class TestBench:

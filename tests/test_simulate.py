@@ -145,6 +145,11 @@ class TestCorrupt:
         assert out.names == perf.names
         assert out.onset_times == perf.onset_times
 
+    @pytest.mark.parametrize("seed", [0, 1, 9, 2**63 - 1])
+    def test_zero_noise_returns_the_input_itself(self, seed):
+        for perf in (self._perf(), StrokeSequence(("Dha", "Ge", "Na"))):
+            assert corrupt(perf, NoiseSpec(seed=seed)) is perf
+
     def test_full_deletion_empties(self):
         out = corrupt(self._perf(), NoiseSpec(p_del=1.0, seed=0))
         assert len(out) == 0

@@ -67,6 +67,12 @@ class TestHead:
         assert all(p.requires_grad for p in params)
         assert head_n_classes(params) == 3
 
+    def test_n_classes_of_a_stacked_head(self):
+        # A stacked head's output weight is (B, hidden, n_classes).
+        head = init_head(np.random.default_rng(7), hidden=8, n_classes=3)
+        assert head_n_classes(head) == 3
+        assert head_n_classes(stack_heads([head, head])) == 3
+
     def test_forward_matches_numpy(self):
         rng = np.random.default_rng(1)
         params = init_head(rng, 6, 4)
