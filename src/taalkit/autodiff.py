@@ -247,17 +247,21 @@ def _sum_to(g: Gradient, shape: tuple[int, ...]) -> Gradient:
     return g if g.shape == shape else g.reshape(shape)
 
 
-def _toposort(root: Tensor, floor: float) -> list[Tensor]:
-    """Nodes ``root`` depends on, parents first, leaving out every node
-    created before index ``floor``."""
+def _toposort(root: Tensor, inputs: Sequence[Tensor]) -> tuple[list[Tensor], set[Tensor]]:
+    """Nodes between ``root`` and ``inputs``, parents first, and the set of
+    those nodes and the inputs that need a gradient."""
     # Tensors hash by identity, so they key the sets and dicts directly.
+    live = {t for t in inputs if t._needs}
+    floor = min((t._index for t in live), default=float("inf"))
     order: list[Tensor] = []
     seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            if not live.isdisjoint(node._parents):  # parents come first
+                order.append(node)
+                live.add(node)
             continue
         if node in seen or node._index < floor:
             continue
@@ -266,7 +270,7 @@ def _toposort(root: Tensor, floor: float) -> list[Tensor]:
         for p in node._parents:
             if p._needs and p not in seen:
                 stack.append((p, False))
-    return order
+    return order, live
 
 
 def grad(
@@ -283,31 +287,24 @@ def grad(
     leaf constant with the values the graph mode would give.  Inputs that
     ``output`` does not depend on get zeros.
 
-    Back-propagation runs only through nodes that depend on an input: an
-    inner-loop step asks for the gradient at the current parameters, and
-    the earlier steps those were computed from take no part in it.  Nodes
-    created before the oldest such input are not even visited, so a step's
-    sort does not grow with the steps before it.
+    Back-propagation runs only through the nodes between ``output`` and
+    the inputs: an inner-loop step asks for the gradient at the current
+    parameters, and the earlier steps those were computed from take no
+    part in it.  Nodes older than every input that needs a gradient are
+    not even visited, so a step's sort does not grow with earlier steps.
     """
     if grad_output is None:
         if output.size != 1:
             raise ValueError("grad of a non-scalar output needs an explicit grad_output")
         grad_output = Tensor(np.ones(output.shape))
-    wanted = {t for t in inputs if t._needs}
-    order = _toposort(output, min((t._index for t in wanted), default=float("inf")))
-    through: set[Tensor] = set()  # nodes with a parent whose gradient is needed
-    for node in order:  # parents come first
-        for p in node._parents:
-            if p in wanted or p in through:
-                through.add(node)
-                break
+    order, live = _toposort(output, inputs)
     gmap: dict[Tensor, Gradient] = {output: grad_output if create_graph else grad_output.data}
     for node in reversed(order):
         g = gmap.get(node)
-        if g is None or node not in through:
+        if g is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not (parent in wanted or parent in through):
+            if pg is None or parent not in live:
                 continue
             held = gmap.get(parent)
             gmap[parent] = pg if held is None else held + pg

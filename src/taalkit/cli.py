@@ -300,15 +300,16 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
     tasks = max(args.n_test_tasks, cfg.tasks_per_batch)
     if tasks * (args.support + args.query) * max(args.features, args.hidden) > MAX_ARRAY_VALUES:
         raise InputError(f"max(--n-test-tasks, tasks_per_batch) x (--support + --query) x max(--features, --hidden) exceeds {MAX_ARRAY_VALUES} values")
-    # Order 2 holds every inner step's graph over a meta-batch; test-time
-    # adaptation traces every step of both arms of a paired task.
-    frames = (args.support + args.query) * args.hidden
-    if cfg.inner_steps * cfg.tasks_per_batch * frames > MAX_ARRAY_VALUES:
-        raise InputError(f"inner_steps x tasks_per_batch x (--support + --query) x --hidden exceeds {MAX_ARRAY_VALUES} values")
-    if (cfg.adapt_iters * cfg.inner_steps + 1) * 2 * frames > MAX_ARRAY_VALUES:
-        raise InputError(f"(adapt_iters x inner_steps + 1) x 2 x (--support + --query) x --hidden exceeds {MAX_ARRAY_VALUES} values")
-
+    # Every inner step keeps whole heads and their hidden activations, for each
+    # task of an order-2 meta-batch and for both arms of a paired test task.
     n_classes = task_cfg.task_classes(task_cfg.stroke_classes)
+    head = args.hidden * (args.hidden + n_classes + 1) + n_classes
+    step = head + (args.support + args.query) * args.hidden
+    if cfg.inner_steps * cfg.tasks_per_batch * step > MAX_ARRAY_VALUES:
+        raise InputError(f"inner_steps x tasks_per_batch x (head + (--support + --query) x --hidden) exceeds {MAX_ARRAY_VALUES} values (a head is {head} values)")
+    if (cfg.adapt_iters * cfg.inner_steps + 1) * 2 * step > MAX_ARRAY_VALUES:
+        raise InputError(f"(adapt_iters x inner_steps + 1) x 2 x (head + (--support + --query) x --hidden) exceeds {MAX_ARRAY_VALUES} values (a head is {head} values)")
+
     model = SurrogateModel.create(
         n_features=task_cfg.n_features,
         hidden=args.hidden,

@@ -550,9 +550,15 @@ class TestExitCodes:
          # Three 1,000-value lists would ask for 10^9 grid points.
          ["eval", "--trials", "1"] + [a for f in ("--p-sub", "--p-del", "--p-ins") for a in (f, ",".join(["0"] * 1000))],
          DEMO_ARGS + ["--inner-steps", str(10**9)],
-         DEMO_ARGS + ["--adapt-iters", str(10**9)]],
+         DEMO_ARGS + ["--adapt-iters", str(10**9)],
+         # Few frames, but every step holds whole heads: 810 MB of adaptation
+         # and a 6 GB order-2 meta-batch.
+         ["maml-demo", "--epochs", "0", "--hidden", "128", "--support", "1", "--query", "1", "--features", "1",
+          "--n-test-tasks", "1", "--adapt-iters", "320"],
+         ["maml-demo", "--hidden", "3000", "--support", "1", "--query", "1", "--features", "1"]],
         ids=["eval", "bench", "eval-second-tala", "bench-repeats", "maml-demo-test-tasks",
-             "maml-demo-tasks-per-batch", "eval-grid", "maml-demo-inner-steps", "maml-demo-adapt-iters"],
+             "maml-demo-tasks-per-batch", "eval-grid", "maml-demo-inner-steps", "maml-demo-adapt-iters",
+             "maml-demo-adapt-heads", "maml-demo-meta-batch-heads"],
     )
     def test_over_long_performance_is_exit_2(self, argv, tmp_path, capsys, monkeypatch):
         # Rejected before any stroke is rendered or task drawn, so no probe
