@@ -180,9 +180,7 @@ class Tensor:
 
     # --- shape functions ---
 
-    def reshape(self, *shape: int) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape: tuple[int, ...] | list[int]) -> "Tensor":
         old = self.shape
         return Tensor(
             self.data.reshape(shape),

@@ -279,6 +279,14 @@ def _load_maml_config(args: argparse.Namespace) -> MamlConfig:
         raise InputError(f"invalid config: {e}") from e
 
 
+def step_values(hidden: int, n_classes: int, frames: int) -> int:
+    """Values of 8 B one inner step holds, per task of an order-2 meta-batch
+    and per arm of a paired test task: whole heads, every frame's hidden
+    activations twice, and 150 for the step's Python objects."""
+    head = hidden * (hidden + n_classes + 1) + n_classes
+    return head + 2 * frames * hidden + 150
+
+
 def cmd_maml_demo(args: argparse.Namespace) -> int:
     cfg = _load_maml_config(args)
     if args.n_test_tasks < 1:
@@ -300,15 +308,12 @@ def cmd_maml_demo(args: argparse.Namespace) -> int:
     tasks = max(args.n_test_tasks, cfg.tasks_per_batch)
     if tasks * (args.support + args.query) * max(args.features, args.hidden) > MAX_ARRAY_VALUES:
         raise InputError(f"max(--n-test-tasks, tasks_per_batch) x (--support + --query) x max(--features, --hidden) exceeds {MAX_ARRAY_VALUES} values")
-    # Every inner step keeps whole heads and their hidden activations, for each
-    # task of an order-2 meta-batch and for both arms of a paired test task.
     n_classes = task_cfg.task_classes(task_cfg.stroke_classes)
-    head = args.hidden * (args.hidden + n_classes + 1) + n_classes
-    step = head + (args.support + args.query) * args.hidden
+    step = step_values(args.hidden, n_classes, args.support + args.query)
     if cfg.inner_steps * cfg.tasks_per_batch * step > MAX_ARRAY_VALUES:
-        raise InputError(f"inner_steps x tasks_per_batch x (head + (--support + --query) x --hidden) exceeds {MAX_ARRAY_VALUES} values (a head is {head} values)")
+        raise InputError(f"inner_steps x tasks_per_batch x step values exceeds {MAX_ARRAY_VALUES} values (a step is {step} values)")
     if (cfg.adapt_iters * cfg.inner_steps + 1) * 2 * step > MAX_ARRAY_VALUES:
-        raise InputError(f"(adapt_iters x inner_steps + 1) x 2 x (head + (--support + --query) x --hidden) exceeds {MAX_ARRAY_VALUES} values (a head is {head} values)")
+        raise InputError(f"(adapt_iters x inner_steps + 1) x 2 x step values exceeds {MAX_ARRAY_VALUES} values (a step is {step} values)")
 
     model = SurrogateModel.create(
         n_features=task_cfg.n_features,

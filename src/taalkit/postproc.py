@@ -22,7 +22,6 @@ import numpy as np
 
 from .talas import NO_STROKE, StrokeLabel, check_stroke_tokens
 
-DEFAULT_HOP_SECONDS = 0.010
 DEFAULT_COLLAR_SECONDS = 0.050
 NO_STROKE_AMPLITUDE_FRACTION = 0.03
 COLLAR_SLACK_SECONDS = 1e-9
@@ -42,13 +41,11 @@ def within_collar(ref_time: float, est_time: float, collar: float) -> bool:
 class FrameLabelSequence:
     """Per-frame class labels at a fixed hop, as indices into a vocabulary.
 
-    The labels are held as one read-only int64 array, ``label_array``;
-    ``labels`` reads them as a tuple of ints.  An integer array or sequence
-    is converted in one step and checked against the vocabulary with one
-    min and one max; any other input is converted element by element with
-    ``int()``, so floats truncate and bools count as 0 and 1.  Label ids
-    must fit in int64 (``OverflowError`` otherwise).  A vocabulary entry's
-    id must be its position, since labels index the vocabulary.
+    The labels are a 1-D integer array or a sequence of ints; any other
+    input raises ``ValueError``.  They are held as one read-only int64
+    array, ``label_array``, and ``labels`` reads them as a tuple of ints.
+    A vocabulary entry's id must be its position, since labels index the
+    vocabulary.  Two sequences are equal only when they are one object.
     """
 
     label_array: np.ndarray
@@ -58,12 +55,12 @@ class FrameLabelSequence:
     def __init__(
         self,
         labels: Sequence[int] | np.ndarray,
-        hop_seconds: float = DEFAULT_HOP_SECONDS,
-        vocabulary: tuple[StrokeLabel, ...] = (),
+        hop_seconds: float,
+        vocabulary: tuple[StrokeLabel, ...],
     ):
         arr = np.asarray(labels)
-        if not (arr.ndim == 1 and arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
-            arr = np.array([int(v) for v in labels], dtype=object)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError(f"frame labels must be a 1-D sequence of integers, got {arr.dtype} of shape {arr.shape}")
         if not arr.size:
             raise ValueError("frame label sequence is empty")
         if not 0 < hop_seconds < math.inf:
@@ -71,7 +68,7 @@ class FrameLabelSequence:
         if any(s.id != i for i, s in enumerate(vocabulary)):
             raise ValueError("vocabulary ids must equal their positions")
         n = len(vocabulary)
-        if vocabulary and (arr.min() < 0 or arr.max() >= n):
+        if arr.min() < 0 or arr.max() >= n:
             bad = sorted({v for v in arr.tolist() if not 0 <= v < n})
             raise ValueError(f"labels {bad} outside vocabulary of size {n}")
         arr = arr.astype(np.int64)
@@ -84,24 +81,8 @@ class FrameLabelSequence:
     def labels(self) -> tuple[int, ...]:
         return tuple(self.label_array.tolist())
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not FrameLabelSequence:
-            return NotImplemented
-        return (
-            (self.hop_seconds, self.vocabulary) == (other.hop_seconds, other.vocabulary)
-            and np.array_equal(self.label_array, other.label_array)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.hop_seconds, self.vocabulary))
-
     def __len__(self) -> int:
         return len(self.label_array)
-
-    def name_of(self, label_id: int) -> str:
-        if self.vocabulary:
-            return self.vocabulary[label_id].name
-        return str(label_id)
 
     def no_stroke_id(self) -> int | None:
         for s in self.vocabulary:
@@ -181,7 +162,7 @@ def onsets_from_frames(frames: FrameLabelSequence) -> OnsetAnnotation:
     if ns is not None:
         starts = starts[ids[starts] != ns]
     times = (starts * frames.hop_seconds).tolist()
-    names = [frames.name_of(lab) for lab in ids[starts].tolist()]
+    names = [frames.vocabulary[lab].name for lab in ids[starts].tolist()]
     return OnsetAnnotation(tuple(zip(times, names)))
 
 

@@ -555,10 +555,17 @@ class TestExitCodes:
          # and a 6 GB order-2 meta-batch.
          ["maml-demo", "--epochs", "0", "--hidden", "128", "--support", "1", "--query", "1", "--features", "1",
           "--n-test-tasks", "1", "--adapt-iters", "320"],
-         ["maml-demo", "--hidden", "3000", "--support", "1", "--query", "1", "--features", "1"]],
+         ["maml-demo", "--hidden", "3000", "--support", "1", "--query", "1", "--features", "1"],
+         # Tiny heads, but each step's objects: a 2.8 GB meta-batch and 1.9 GB
+         # of adaptation.
+         ["maml-demo", "--hidden", "1", "--features", "1", "--support", "1", "--query", "1",
+          "--inner-steps", "100000", "--adapt-iters", "0", "--epochs", "1", "--n-test-tasks", "1"],
+         ["maml-demo", "--hidden", "1", "--features", "1", "--support", "1", "--query", "1",
+          "--epochs", "0", "--n-test-tasks", "1", "--inner-steps", "1", "--adapt-iters", "270000"]],
         ids=["eval", "bench", "eval-second-tala", "bench-repeats", "maml-demo-test-tasks",
              "maml-demo-tasks-per-batch", "eval-grid", "maml-demo-inner-steps", "maml-demo-adapt-iters",
-             "maml-demo-adapt-heads", "maml-demo-meta-batch-heads"],
+             "maml-demo-adapt-heads", "maml-demo-meta-batch-heads", "maml-demo-meta-batch-steps",
+             "maml-demo-adapt-steps"],
     )
     def test_over_long_performance_is_exit_2(self, argv, tmp_path, capsys, monkeypatch):
         # Rejected before any stroke is rendered or task drawn, so no probe

@@ -10,6 +10,7 @@ import taalkit.autodiff
 import taalkit.maml
 from gradcheck import central_difference, flatten_params, param_shapes, unflatten_params
 from taalkit.autodiff import Tensor, grad
+from taalkit.cli import step_values
 from taalkit.maml import (
     AdaptResult,
     _pair_seed,
@@ -997,14 +998,20 @@ class TestBudgets:
             paired_few_shot_eval(model, [task], MamlConfig(seed=7), baseline_seed=7)
             assert built[0] - start <= 756
 
-    def test_peak_memory_within_the_cli_caps(self):
-        # maml-demo caps these products of a step's values, a head plus its
-        # hidden activations.  On Linux x86-64 (Python 3.11, numpy 2.4) the
-        # peaks were 7.2 and 3.0 times 8 B times each product.
-        hidden = 128
-        model, source = self._demo(hidden=hidden, features=1, support=1, query=1)
-        n_classes, cfg = head_n_classes(model.head), MamlConfig(seed=7)
-        step = hidden * (hidden + n_classes + 1) + n_classes + 2 * hidden
+    @pytest.mark.parametrize(
+        "hidden, features, support, query, inner_steps",
+        # At hidden 1 and 8, 40 task-steps make the peaks grow with steps
+        # rather than sit on a call's fixed objects.
+        [(1, 1, 1, 1, 10), (8, 1, 1, 1, 10), (128, 1, 1, 1, 3), (32, 20, 32, 8, 3)],
+        ids=["hidden-1", "hidden-8", "hidden-128", "default"],
+    )
+    def test_peak_memory_within_the_cli_caps(self, hidden, features, support, query, inner_steps):
+        # maml-demo caps these products of a step's values.  On Linux x86-64
+        # (Python 3.11, numpy 2.4) the peaks were 5.8-7.2 and 1.1-2.9 times
+        # 8 B times each product.
+        model, source = self._demo(hidden=hidden, features=features, support=support, query=query)
+        cfg = MamlConfig(inner_steps=inner_steps, seed=7)
+        step = step_values(hidden, head_n_classes(model.head), support + query)
         batch, (task,) = take_tasks(source, cfg.tasks_per_batch), take_tasks(source, 1)
 
         def peak(run):

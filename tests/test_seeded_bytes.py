@@ -3,18 +3,31 @@
 No digest hashes a float that BLAS or ``exp`` rounding could move, so each
 holds across machines: the eval grid's scores are integer alignment scores
 and cosines of small integer counts, whose dot products are exact, the NW
-block maxima are integers and their means are exact, and the task stream's
-labels are integers.
+block maxima are integers and their means are exact, the task stream's
+labels are integers, and the frame pipeline's onset times are integers
+times the hop, scored by integer counts.
 """
 
 import hashlib
+import io
 import json
 import math
 
+import numpy as np
+
 from taalkit.alignment import sliding_match_score
 from taalkit.cli import main
+from taalkit.postproc import (
+    FrameLabelSequence,
+    label_no_stroke,
+    onset_f1,
+    onsets_from_frames,
+    read_onsets_csv,
+    smooth_labels,
+    write_onsets_csv,
+)
 from taalkit.simulate import NoiseSpec, PerformanceSpec, corrupt, generate_performance
-from taalkit.talas import builtin_talas
+from taalkit.talas import builtin_talas, make_vocabulary
 from taalkit.tasks import SyntheticTaskConfig, synth_task_source, take_tasks
 
 
@@ -56,3 +69,32 @@ def test_nw_scores_at_identify_long_scale_are_pinned():
     assert len(rows) == 64
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "36e0262a64051b99f2b7d495b16129d1d462ded827ec0ba95e119b0bc990916a"
+
+
+def test_frame_pipeline_is_pinned():
+    # 200 strokes of 25 frames at a 10 ms hop: 3 % of the frames flip to a
+    # random label, and each stroke's envelope falls linearly from 100 at its
+    # own integer rate, so no digest input goes through exp.
+    names = sorted({n for t in builtin_talas() for n in t.theka_names})
+    assert len(names) == 11
+    vocab = make_vocabulary(names, include_no_stroke=True)
+    rng = np.random.default_rng(7)
+    clean = np.repeat(rng.integers(0, len(names), 200), 25)
+    rate = np.repeat(rng.integers(3, 13, 200), 25)
+    envelope = np.maximum(0.0, 100.0 - rate * np.tile(np.arange(25), 200))
+    labels = clean.copy()
+    flipped = rng.random(len(labels)) < 0.03
+    labels[flipped] = rng.integers(0, len(vocab), int(flipped.sum()))
+
+    frames = FrameLabelSequence(labels, 0.010, vocab)
+    estimate = onsets_from_frames(label_no_stroke(smooth_labels(frames), envelope))
+    buf = io.StringIO()
+    write_onsets_csv(estimate, buf)
+    back = read_onsets_csv(io.StringIO(buf.getvalue()))
+    result = onset_f1(onsets_from_frames(FrameLabelSequence(clean, 0.010, vocab)), back)
+
+    h = hashlib.sha256(buf.getvalue().encode())
+    counts = [[c, s.n_ref, s.n_est, s.n_match] for c, s in result.per_class.items()]
+    h.update(json.dumps(counts).encode())
+    h.update(f"{result.f1:.6f}".encode())
+    assert h.hexdigest() == "cfe00790c812383eab70fdd0cc5266f2e7badd6264dc23e0374b9b3def8b6314"
