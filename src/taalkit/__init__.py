@@ -75,6 +75,7 @@ from .talas import (
     StrokeLabel,
     StrokeSequence,
     TalaDefinition,
+    TokenTable,
     builtin_talas,
     get_tala,
     stroke_histogram,

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .talas import StrokeLabel, StrokeSequence, TalaDefinition, builtin_talas, stroke_names
+from .talas import StrokeLabel, StrokeSequence, TalaDefinition, TokenTable, builtin_talas, stroke_names
 
 MATCH_SCORE = 1
 MISMATCH_SCORE = -1
@@ -143,7 +143,7 @@ def rank(
 
 
 def sliding_match_score(
-    transcribed: StrokeSequence | Sequence[str | StrokeLabel],
+    transcribed: TokenTable | StrokeSequence | Sequence[str | StrokeLabel],
     tala: TalaDefinition,
     *,
     gharana_equiv: bool = True,
@@ -162,15 +162,15 @@ def sliding_match_score(
     stay open; each distinct window among them is aligned once, and every
     other offset keeps its lower bound.  Clean input usually opens none.
     """
-    names = stroke_names(transcribed)
-    if not names:
+    table = TokenTable.of(transcribed)
+    if not len(table):
         raise ValueError("empty sequence")
     m = tala.matra_count
 
     rotations = tala.theka_rotations
-    seq_ids = tala.token_ids(names, gharana_equiv)
+    seq_ids = tala.token_ids(table, gharana_equiv)
 
-    if len(names) < m:
+    if len(seq_ids) < m:
         best = int(batch_nw_scores(rotations, seq_ids[None, :]).max())
         return MatchResult(sigma_nw=float(best), block_maxima=(best,), short_input=True)
 
@@ -194,7 +194,9 @@ def sliding_match_score(
 
 
 def _window_sums(flags: np.ndarray, m: int) -> np.ndarray:
-    """Column sums of ``flags`` over every ``m`` consecutive rows.
+    """Column sums of ``flags`` over every ``m`` consecutive rows, laid out
+    (column, offset) in one contiguous block: a reduction over the columns
+    then runs along axis 0, many times faster than along a short axis 1.
 
     The running sums wrap around in the smallest unsigned type that holds
     ``m``; their differences, at most ``m``, are still exact.
@@ -202,7 +204,7 @@ def _window_sums(flags: np.ndarray, m: int) -> np.ndarray:
     dtype = np.min_scalar_type(m)
     sums = np.zeros((len(flags) + 1, flags.shape[1]), dtype=dtype)
     np.cumsum(flags, axis=0, dtype=dtype, out=sums[1:])
-    return sums[m:] - sums[:-m]
+    return np.ascontiguousarray((sums[m:] - sums[:-m]).T)
 
 
 def _window_bounds(seq_ids: np.ndarray, tala: TalaDefinition) -> tuple[np.ndarray, np.ndarray]:
@@ -214,15 +216,15 @@ def _window_bounds(seq_ids: np.ndarray, tala: TalaDefinition) -> tuple[np.ndarra
     overlap ``H`` counts each theka stroke at most as often as the theka has it.
     """
     rotations, quota, m = tala.theka_rotations, tala.reference_ratio, tala.matra_count
-    d0 = _window_sums(seq_ids[:, None] == np.resize(rotations, (len(seq_ids), m)), m).max(axis=1)
+    d0 = _window_sums(seq_ids[:, None] == np.resize(rotations, (len(seq_ids), m)), m).max(axis=0)
     counts = _window_sums(seq_ids[:, None] == np.arange(len(quota)), m)
-    overlap = np.minimum(counts, np.array(quota, counts.dtype)).sum(axis=1, dtype=np.int64)
+    overlap = np.minimum(counts, np.array(quota, counts.dtype)[:, None]).sum(axis=0, dtype=np.int64)
     lower = 2 * d0.astype(np.int64) - m
     return lower, np.maximum(lower, 2 * overlap - m - 3)
 
 
 def identify_tala_nw(
-    transcribed: StrokeSequence | Sequence[str | StrokeLabel],
+    transcribed: TokenTable | StrokeSequence | Sequence[str | StrokeLabel],
     talas: Sequence[TalaDefinition] | None = None,
     *,
     gharana_equiv: bool = True,
@@ -232,16 +234,17 @@ def identify_tala_nw(
     Scores are divided by each tala's matra count so cycles of different
     lengths are commensurable.  Ties break by ascending matra count, then
     name.  A negative best score means the input matched nothing and the
-    result carries a ``low_confidence`` flag.
+    result carries a ``low_confidence`` flag.  The input's token table is
+    built once and scored against every tala.
     """
     talas = builtin_talas() if talas is None else list(talas)
     if not talas:
         raise ValueError("at least one tala required")
-    names = stroke_names(transcribed)
+    table = TokenTable.of(transcribed)
     scores = []
     short = False
     for t in talas:
-        r = sliding_match_score(names, t, gharana_equiv=gharana_equiv)
+        r = sliding_match_score(table, t, gharana_equiv=gharana_equiv)
         short = short or r.short_input
         scores.append(TalaScore(tala=t.name, score=r.sigma_nw, normalized=r.sigma_nw / t.matra_count))
     flags = []

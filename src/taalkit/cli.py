@@ -29,7 +29,7 @@ from .ratio import identify_tala_ratio
 from .seqio import out_of_vocabulary, read_stroke_tokens
 from .simulate import MAX_PERFORMANCE_STROKES, NoiseSpec, PerformanceSpec, corrupt, generate_performance
 from .surrogate import SurrogateModel
-from .talas import builtin_talas, get_tala
+from .talas import TokenTable, builtin_talas, get_tala
 from .tasks import MAX_ARRAY_VALUES, SyntheticTaskConfig, synth_task_source, take_tasks
 
 EXIT_OK = 0
@@ -82,7 +82,12 @@ def cmd_identify(args: argparse.Namespace) -> int:
         raise InputError("empty sequence")
     if len(tokens) > MAX_PERFORMANCE_STROKES:
         raise InputError(f"{len(tokens)} tokens exceed {MAX_PERFORMANCE_STROKES}")
-    oov = out_of_vocabulary(tokens)
+    # One token table serves the warning and both methods; the first
+    # document's elapsed time counts its build.
+    start = time.perf_counter_ns()
+    table = TokenTable.of(tokens)
+    build_ns = time.perf_counter_ns() - start
+    oov = out_of_vocabulary(table.tokens)
     if oov:
         print(f"warning: {len(oov)} out-of-vocabulary token(s): {', '.join(oov)}", file=sys.stderr)
 
@@ -90,8 +95,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
     documents = []
     for method in methods:
         start = time.perf_counter_ns()
-        result = _IDENTIFIERS[method](tokens, gharana_equiv=args.gharana_equiv)
-        elapsed_us = (time.perf_counter_ns() - start) // 1000
+        result = _IDENTIFIERS[method](table, gharana_equiv=args.gharana_equiv)
+        elapsed_us = (time.perf_counter_ns() - start + build_ns) // 1000
+        build_ns = 0
         documents.append(
             {
                 "input": args.file,
@@ -139,10 +145,12 @@ def _parse_tala_list(text: str) -> list[str]:
 
 
 def _outcome(names: tuple[str, ...], tala: str) -> list[tuple[bool, float]]:
-    """Per identifier: whether ``tala`` ranks first, and its normalised score."""
+    """Per identifier, from one token table of ``names``: whether ``tala``
+    ranks first, and its normalised score."""
+    table = TokenTable.of(names)
     outcome = []
     for identify in _IDENTIFIERS.values():
-        result = identify(names)
+        result = identify(table)
         outcome.append((result.best.tala == tala, next(s.normalized for s in result.ranking if s.tala == tala)))
     return outcome
 

@@ -8,13 +8,12 @@ alone, ignoring order; it is orders of magnitude cheaper than alignment.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 from .alignment import RankedResult, TalaScore, rank
-from .talas import StrokeLabel, StrokeSequence, TalaDefinition, builtin_talas, stroke_histogram, stroke_names
+from .talas import StrokeLabel, StrokeSequence, TalaDefinition, TokenTable, builtin_talas, stroke_histogram
 
 
 def cosine_similarity(R, T) -> float:
@@ -38,7 +37,7 @@ def cosine_similarity(R, T) -> float:
 
 
 def identify_tala_ratio(
-    seq: StrokeSequence | Sequence[str | StrokeLabel],
+    seq: TokenTable | StrokeSequence | Sequence[str | StrokeLabel],
     talas: Sequence[TalaDefinition] | None = None,
     *,
     gharana_equiv: bool = True,
@@ -53,22 +52,21 @@ def identify_tala_ratio(
     on a handful of accidental matches.  The raw cosine is reported
     alongside.
 
-    The input is counted once; each tala then numbers only its distinct
-    tokens, by ``TalaDefinition.token_ids`` as the NW matcher does, so the
+    The input's token table is built and counted once; each tala then
+    numbers only its distinct tokens, as the NW matcher does, so the
     per-tala work does not grow with the number of strokes.
     """
     talas = builtin_talas() if talas is None else list(talas)
     if not talas:
         raise ValueError("at least one tala required")
-    names = stroke_names(seq)
-    if not names:
+    table = TokenTable.of(seq)
+    if not len(table):
         raise ValueError("empty sequence")
-    tally = Counter(names)
     scores = []
     for t in talas:
-        counts, oov = stroke_histogram(tally, t, gharana_equiv)
-        coverage = (len(names) - oov) / len(names)
-        cos = cosine_similarity(np.asarray(t.reference_ratio), counts)
+        counts, oov = stroke_histogram(table, t, gharana_equiv)
+        coverage = (len(table) - oov) / len(table)
+        cos = cosine_similarity(t.reference_vector, counts)
         scores.append(TalaScore(tala=t.name, score=cos, normalized=cos * coverage, coverage=coverage))
     flags = ("low_confidence",) if max(s.normalized for s in scores) == 0.0 else ()
     return rank("ratio", talas, scores, flags)

@@ -13,7 +13,6 @@ formats stay stable; display names may carry diacritics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -87,6 +86,60 @@ class StrokeSequence:
         return len(self.names)
 
 
+class _Coder(dict):
+    """Each item's code, looked up in C; an item seen for the first time is
+    coded by its stroke name, numbered in first-seen order."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: dict[str, int] = {}
+
+    def __missing__(self, item):
+        code = self[item] = self.names.setdefault(item if isinstance(item, str) else item.name, len(self.names))
+        return code
+
+
+class TokenTable:
+    """One input's distinct stroke names in first-seen order, and each
+    stroke's code into them: stroke ``i`` is ``tokens[codes[i]]``.
+
+    ``codes`` is read-only, in the smallest unsigned dtype that holds every
+    code.  Build it once per input with ``TokenTable.of``; the identifiers
+    then number and count only the distinct tokens, for every tala.  A
+    plain class, not a dataclass: it adds no code generation at import.
+    """
+
+    def __init__(self, tokens: tuple[str, ...], codes: np.ndarray):
+        self.tokens = tokens
+        self.codes = codes
+
+    @classmethod
+    def of(cls, seq: TokenTable | StrokeSequence | Sequence[str | StrokeLabel]) -> TokenTable:
+        """The table of any input ``stroke_names`` accepts; a table is returned as is.
+
+        A list or tuple is coded in one pass, and names are told from
+        ``StrokeLabel``s once per distinct item.
+        """
+        if isinstance(seq, TokenTable):
+            return seq
+        items = seq if isinstance(seq, (list, tuple)) else stroke_names(seq)
+        coder = _Coder()
+        codes = np.fromiter(map(coder.__getitem__, items), np.intp, len(items))
+        codes = codes.astype(np.min_scalar_type(max(len(coder.names) - 1, 0)))
+        codes.setflags(write=False)
+        return cls(tuple(coder.names), codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Read-only count of each distinct token, in ``tokens`` order."""
+        counts = np.bincount(self.codes, minlength=len(self.tokens))
+        counts.setflags(write=False)
+        return counts
+
+
 @dataclass(frozen=True)
 class TalaDefinition:
     """A named rhythmic cycle, defined by its theka.
@@ -139,6 +192,13 @@ class TalaDefinition:
         return tuple(np.bincount(self.theka_rotations[0]).tolist())
 
     @cached_property
+    def reference_vector(self) -> np.ndarray:
+        """``reference_ratio`` as a read-only float64 vector, built once per tala."""
+        vector = np.array(self.reference_ratio, dtype=np.float64)
+        vector.setflags(write=False)
+        return vector
+
+    @cached_property
     def theka_rotations(self) -> np.ndarray:
         """Read-only (m, m) token ids of every cyclic rotation of the theka;
         row ``r`` enters it at beat ``r``.  Built once per tala."""
@@ -152,14 +212,19 @@ class TalaDefinition:
     def _stroke_ids(self) -> dict[str, int]:
         return {s.name: s.id for s in self.stroke_vocabulary}
 
-    def token_ids(self, tokens: Sequence[str], gharana_equiv: bool = True) -> np.ndarray:
-        """Each token's vocabulary id, after the gharana map if ``gharana_equiv``;
-        every other token gets ``len(stroke_vocabulary)``, in the smallest
-        unsigned dtype that holds it.  Each distinct token is canonicalised once."""
+    def distinct_ids(self, table: TokenTable, gharana_equiv: bool = True) -> np.ndarray:
+        """The vocabulary id of each of ``table.tokens``, after the gharana map
+        if ``gharana_equiv``; every other token gets ``len(stroke_vocabulary)``,
+        in the smallest unsigned dtype that holds it."""
         vocab = self._stroke_ids
-        table = {t: vocab.get(self.canonical_stroke(t) if gharana_equiv else t, len(vocab))
-                 for t in dict.fromkeys(tokens)}
-        return np.fromiter(map(table.__getitem__, tokens), np.min_scalar_type(len(vocab)), len(tokens))
+        names = map(self.canonical_stroke, table.tokens) if gharana_equiv else table.tokens
+        return np.array([vocab.get(n, len(vocab)) for n in names], np.min_scalar_type(len(vocab)))
+
+    def token_ids(self, tokens: TokenTable | Sequence[str], gharana_equiv: bool = True) -> np.ndarray:
+        """Each token's id by ``distinct_ids``, gathered in input order, so
+        each distinct token is canonicalised once."""
+        table = TokenTable.of(tokens)
+        return self.distinct_ids(table, gharana_equiv)[table.codes]
 
     def canonical_stroke(self, name: str) -> str:
         """Map a variant stroke name to this tala's canonical name."""
@@ -245,16 +310,16 @@ def stroke_names(seq: StrokeSequence | Sequence[str | StrokeLabel]) -> tuple[str
 
 
 def stroke_histogram(
-    seq: StrokeSequence | Sequence[str | StrokeLabel] | Counter,
+    seq: TokenTable | StrokeSequence | Sequence[str | StrokeLabel],
     tala: TalaDefinition,
     gharana_equiv: bool = True,
 ) -> tuple[np.ndarray, int]:
-    """Count the strokes of ``seq``, or of a ``Counter`` of names, in each slot
-    of ``tala``'s vocabulary, numbering each distinct name by ``tala.token_ids``.
-    Returns ``(counts, oov)``: ``counts[i]`` strokes have vocabulary id ``i``
-    and ``oov`` strokes lie outside the vocabulary."""
-    tally = seq if isinstance(seq, Counter) else Counter(stroke_names(seq))
+    """Count the strokes of ``seq`` in each slot of ``tala``'s vocabulary,
+    from its token table: each distinct token's count goes to its id by
+    ``tala.distinct_ids``.  Returns ``(counts, oov)``: ``counts[i]`` strokes
+    have vocabulary id ``i`` and ``oov`` strokes lie outside the vocabulary."""
+    table = TokenTable.of(seq)
     v = len(tala.stroke_vocabulary)
     # The weighted bincount sums in float64, exact for counts below 2**53.
-    counts = np.bincount(tala.token_ids(list(tally), gharana_equiv), list(tally.values()), v + 1).astype(np.int64)
+    counts = np.bincount(tala.distinct_ids(table, gharana_equiv), table.counts, v + 1).astype(np.int64)
     return counts[:v], int(counts[v])

@@ -160,6 +160,17 @@ def _symbol_ids(names, tala, gharana_equiv):
     return tala.theka_rotations, np.array([ids.setdefault(n, len(ids)) for n in canon])
 
 
+def reference_window_bounds(seq_ids, tala):
+    """The window bounds by axis-1 reductions over (offset, column) window
+    sums counted in int64, so no running sum wraps."""
+    m, quota = tala.matra_count, np.array(tala.reference_ratio)
+    tiled = tala.theka_rotations[np.arange(len(seq_ids)) % m]
+    positional = np.lib.stride_tricks.sliding_window_view(seq_ids[:, None] == tiled, m, axis=0).sum(axis=2)
+    counts = np.lib.stride_tricks.sliding_window_view(seq_ids[:, None] == np.arange(len(quota)), m, axis=0).sum(axis=2)
+    lower = 2 * positional.max(axis=1) - m
+    return lower, np.maximum(lower, 2 * np.minimum(counts, quota).sum(axis=1) - m - 3)
+
+
 def unpruned_sliding_match_score(names, tala, gharana_equiv=True):
     """The matcher before window pruning: every distinct window is aligned."""
     rotations, seq_ids = _symbol_ids(names, tala, gharana_equiv)
@@ -469,6 +480,22 @@ class TestWindowPruning:
         # The lower bound is the best gap-free alignment, which is reachable.
         positional = (windows[:, None, :] == rotations[None, :, :]).sum(axis=2).max(axis=1)
         assert np.array_equal(lower, 2 * positional - m)
+
+    @pytest.mark.parametrize("tala", ORACLE_TALAS, ids=lambda t: f"{t.name}-{t.matra_count}")
+    def test_bounds_equal_the_axis_1_reference(self, tala):
+        m = tala.matra_count
+        rng = np.random.default_rng(m)
+        pool = tala.theka_names + ("Ta", "Zzz")
+        # Every length from one to five cycles, then 600 strokes, where the
+        # uint8 running sums wrap; the theka repeated keeps each column busy.
+        inputs = [tuple(rng.choice(pool, n)) for n in range(m, 5 * m + 1)]
+        inputs += [tuple(rng.choice(pool, 600)), (tala.theka_names * 600)[:600]]
+        for names in inputs:
+            seq_ids = tala.token_ids(names)
+            got, want = _window_bounds(seq_ids, tala), reference_window_bounds(seq_ids, tala)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
 
     def test_clean_input_runs_no_dp(self, monkeypatch):
         import taalkit.alignment as alignment

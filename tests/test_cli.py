@@ -55,6 +55,23 @@ class TestIdentify:
             assert len(doc["ranking"]) == 4
             assert isinstance(doc["elapsed_us"], int)
 
+    @pytest.mark.parametrize("flag", ["--gharana-equiv", "--no-gharana-equiv"])
+    def test_both_methods_equal_the_single_method_documents(self, flag, tmp_path, capsys):
+        perf = generate_performance(PerformanceSpec(tala="Tintal", cycles=6, start_offset=5, gharana_variant=True))
+        noisy = corrupt(perf, NoiseSpec(p_sub=0.2, p_del=0.1, p_ins=0.1, seed=5)).names
+        path = tmp_path / "noisy.txt"
+        path.write_text(" ".join(noisy + ("Zzz", "Qqq", "Zzz")) + "\n", encoding="utf-8")
+        documents = []
+        for method in ("both", "nw", "ratio"):
+            assert main(["identify", str(path), "--method", method, flag]) == 0
+            captured = capsys.readouterr()
+            assert "2 out-of-vocabulary token(s): Zzz, Qqq" in captured.err
+            out = json.loads(captured.out)
+            documents += out if method == "both" else [out]
+        for doc in documents:
+            assert isinstance(doc.pop("elapsed_us"), int)
+        assert documents[:2] == documents[2:]
+
     def test_single_method_gives_single_document(self, ektal_file, capsys):
         assert main(["identify", ektal_file, "--method", "ratio"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -31,11 +31,14 @@ from taalkit.talas import builtin_talas, make_vocabulary
 from taalkit.tasks import SyntheticTaskConfig, synth_task_source, take_tasks
 
 
+# The eval-short grid call at seed 7, less its --out.
+EVAL_GRID_ARGV = ["eval", "--talas", "all", "--cycles", "2", "--p-sub", "0,0.1", "--p-del", "0,0.1,0.3",
+                  "--p-ins", "0,0.05", "--trials", "10", "--seed", "7"]
+
+
 def test_eval_grid_csv_is_pinned(tmp_path):
     out = tmp_path / "grid.csv"
-    argv = ["eval", "--talas", "all", "--cycles", "2", "--p-sub", "0,0.1", "--p-del", "0,0.1,0.3",
-            "--p-ins", "0,0.05", "--trials", "10", "--seed", "7", "--out", str(out)]
-    assert main(argv) == 0
+    assert main(EVAL_GRID_ARGV + ["--out", str(out)]) == 0
     assert hashlib.md5(out.read_bytes()).hexdigest() == "75e58588386064551b63ad8bc9f6a51d"
 
 
@@ -48,10 +51,10 @@ def test_task_stream_labels_are_pinned():
     assert h.hexdigest() == "e1b7b8d6cb024450deec7b0a56d887fcce5bb21f88b2a78930fd21838dc74002"
 
 
-def test_nw_scores_at_identify_long_scale_are_pinned():
-    # 3,840 strokes of every built-in tala, clean and noisy, scored against
-    # every built-in tala with and without the gharana map: 64 rows.
-    rows = []
+def nw_pin_calls():
+    """The NW pin's 64 calls as (source, kind, names, candidate, gharana_equiv):
+    3,840 strokes of every built-in tala, clean and noisy, against every
+    built-in tala with and without the gharana map."""
     for source in builtin_talas():
         m = source.matra_count
         perf = generate_performance(
@@ -63,18 +66,27 @@ def test_nw_scores_at_identify_long_scale_are_pinned():
             assert len(names) == 3840
             for candidate in builtin_talas():
                 for gharana_equiv in (True, False):
-                    r = sliding_match_score(names, candidate, gharana_equiv=gharana_equiv)
-                    rows.append([source.name, kind, candidate.name, gharana_equiv, r.sigma_nw,
-                                 list(r.block_maxima), r.short_input])
+                    yield source, kind, names, candidate, gharana_equiv
+
+
+def test_nw_scores_at_identify_long_scale_are_pinned():
+    rows = []
+    for source, kind, names, candidate, gharana_equiv in nw_pin_calls():
+        r = sliding_match_score(names, candidate, gharana_equiv=gharana_equiv)
+        rows.append([source.name, kind, candidate.name, gharana_equiv, r.sigma_nw,
+                     list(r.block_maxima), r.short_input])
     assert len(rows) == 64
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "36e0262a64051b99f2b7d495b16129d1d462ded827ec0ba95e119b0bc990916a"
 
 
-def test_frame_pipeline_is_pinned():
-    # 200 strokes of 25 frames at a 10 ms hop: 3 % of the frames flip to a
-    # random label, and each stroke's envelope falls linearly from 100 at its
-    # own integer rate, so no digest input goes through exp.
+def frame_pipeline():
+    """The frame pipeline's onset CSV and onset F1 against the clean frames.
+
+    200 strokes of 25 frames at a 10 ms hop: 3 % of the frames flip to a
+    random label, and each stroke's envelope falls linearly from 100 at its
+    own integer rate, so no digest input goes through exp.
+    """
     names = sorted({n for t in builtin_talas() for n in t.theka_names})
     assert len(names) == 11
     vocab = make_vocabulary(names, include_no_stroke=True)
@@ -91,9 +103,12 @@ def test_frame_pipeline_is_pinned():
     buf = io.StringIO()
     write_onsets_csv(estimate, buf)
     back = read_onsets_csv(io.StringIO(buf.getvalue()))
-    result = onset_f1(onsets_from_frames(FrameLabelSequence(clean, 0.010, vocab)), back)
+    return buf.getvalue(), onset_f1(onsets_from_frames(FrameLabelSequence(clean, 0.010, vocab)), back)
 
-    h = hashlib.sha256(buf.getvalue().encode())
+
+def test_frame_pipeline_is_pinned():
+    csv_text, result = frame_pipeline()
+    h = hashlib.sha256(csv_text.encode())
     counts = [[c, s.n_ref, s.n_est, s.n_match] for c, s in result.per_class.items()]
     h.update(json.dumps(counts).encode())
     h.update(f"{result.f1:.6f}".encode())

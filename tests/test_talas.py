@@ -1,7 +1,5 @@
 """Tests for the tala catalogue and stroke-sequence primitives."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +11,7 @@ from taalkit.talas import (
     StrokeLabel,
     StrokeSequence,
     TalaDefinition,
+    TokenTable,
     builtin_talas,
     get_tala,
     make_vocabulary,
@@ -111,6 +110,13 @@ class TestGharana:
 
     def test_unknown_strokes_pass_through(self):
         assert get_tala("Tintal").canonical_stroke("Zzz") == "Zzz"
+
+    def test_reference_vector_is_a_read_only_float_copy_built_once(self):
+        for tala in builtin_talas():
+            vector = tala.reference_vector
+            assert vector.dtype == np.float64 and not vector.flags.writeable
+            assert vector.tolist() == list(tala.reference_ratio)
+            assert tala.reference_vector is vector
 
     def test_token_ids(self):
         # Tintal numbers Dha Dhin Tin Na 0-3; Ta maps to Na, and every other
@@ -227,8 +233,8 @@ class TestHistogram:
         st.lists(st.sampled_from(("Dha", "Dhin", "Tin", "Na", "Ta", "Dhi", "Zzz"))),
         st.sampled_from(sorted(EXPECTED)),
     )
-    def test_counter_input_equals_sequence_input(self, names, tala):
-        a, oov_a = stroke_histogram(Counter(names), get_tala(tala))
+    def test_table_input_equals_sequence_input(self, names, tala):
+        a, oov_a = stroke_histogram(TokenTable.of(names), get_tala(tala))
         b, oov_b = stroke_histogram(names, get_tala(tala))
         assert a.tolist() == b.tolist()
         assert oov_a == oov_b
